@@ -1261,9 +1261,13 @@ mod tests {
 
     #[test]
     fn kernel_choice_defaults_to_auto_without_env() {
-        // No env override in the test process: the default applies and
-        // resolves to a kernel this host can execute.
-        assert_eq!(kernel_choice(), KernelChoice::Auto);
+        // Without an env override the default applies; the CI leg that
+        // pins SPARKXD_KERNEL must see its pin instead. Either way the
+        // choice resolves to a kernel this host can execute.
+        let pinned = std::env::var(KERNEL_ENV)
+            .ok()
+            .and_then(|raw| KernelChoice::parse(&raw));
+        assert_eq!(kernel_choice(), pinned.unwrap_or(KernelChoice::Auto));
         let resolved = kernel();
         assert!(crate::kernels::Kernel::available().contains(&resolved));
     }
@@ -1376,7 +1380,11 @@ mod tests {
 
     #[test]
     fn intra_choice_defaults_to_auto_without_env() {
-        assert_eq!(intra_choice(), IntraChoice::Auto);
+        // The CI leg that pins SPARKXD_INTRA must see its pin instead.
+        let pinned = std::env::var(INTRA_ENV)
+            .ok()
+            .and_then(|raw| parse_intra_override(INTRA_ENV, &raw));
+        assert_eq!(intra_choice(), pinned.unwrap_or(IntraChoice::Auto));
     }
 
     #[test]

@@ -1,7 +1,13 @@
-//! Runtime-dispatched SIMD kernels for the three hot inner loops of the
-//! inference engine: member-row drive accumulation (both the `clamp_reads`
-//! effective-weight transform and the finite-filter path), the branch-free
-//! LIF lane update, and the lateral-inhibition sweep.
+//! Runtime-dispatched SIMD kernels for the hot inner loops of inference
+//! and of STDP training:
+//!
+//! * inference: member-row drive accumulation (both the `clamp_reads`
+//!   effective-weight transform and the finite-filter path), the
+//!   branch-free LIF lane update, and the lateral-inhibition sweep;
+//! * training (`DiehlCookNetwork::train_sample`): the fused depression +
+//!   drive row pass ([`Kernel::depress_accumulate`]) and the two sweeps of
+//!   column normalisation ([`Kernel::accumulate_effective`] for the column
+//!   sums, [`Kernel::rescale_effective`] for the scale pass).
 //!
 //! # Dispatch
 //!
@@ -38,7 +44,13 @@
 //! * the finite filter *skips* non-finite weights with a blend (keeping
 //!   the accumulator's bits) instead of adding a masked zero, matching
 //!   the scalar `if w.is_finite()` exactly even for `-0.0` accumulators;
-//! * remainder lanes (`n % 8 != 0`) run the portable kernel itself.
+//! * remainder lanes (`n % 8 != 0`) run the portable kernel itself;
+//! * the two training entry points have no hand-written intrinsics: their
+//!   AVX2 arm is the portable body recompiled under
+//!   `#[target_feature(enable = "avx2")]`. That is exact too, because
+//!   rustc never contracts a multiply and an add into an FMA and never
+//!   reassociates float arithmetic, so the vectorised code performs each
+//!   lane's scalar operation sequence.
 //!
 //! The one documented precondition is the inhibition sweep's
 //! [`f32::max`] against the floor: `_mm256_max_ps(x, floor)` matches
@@ -228,6 +240,61 @@ impl Kernel {
         scalar::accumulate_finite(drive, row);
     }
 
+    /// The fused STDP depression + drive row pass of training: rewrites
+    /// every lane of one active input's fan-out `row` to
+    /// `w' = (StoredWeights::effective(w, w_max) - lr * trace_post[j]).clamp(0.0, w_max)`
+    /// and adds `w'` into `drive[j]` in the same pass.
+    ///
+    /// `w'` is always finite and inside `[0, w_max]` (for finite traces),
+    /// so both drive read rules — the clamped
+    /// [`accumulate_effective`](Self::accumulate_effective) and the
+    /// unclamped [`accumulate_finite`](Self::accumulate_finite) — would
+    /// add exactly `w'` had they re-read the rewritten row afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row`, `trace_post` and `drive` have different lengths.
+    pub fn depress_accumulate(
+        self,
+        row: &mut [f32],
+        trace_post: &[f32],
+        lr: f32,
+        w_max: f32,
+        drive: &mut [f32],
+    ) {
+        assert!(
+            trace_post.len() == row.len() && drive.len() == row.len(),
+            "depression row, post traces and drive must have matching lengths"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if self.run_avx2() {
+            // SAFETY: AVX2 presence verified at runtime just above.
+            unsafe { avx2::depress_accumulate(row, trace_post, lr, w_max, drive) };
+            return;
+        }
+        scalar::depress_accumulate(row, trace_post, lr, w_max, drive);
+    }
+
+    /// The scale pass of column normalisation over one row:
+    /// `row[j] = (StoredWeights::effective(row[j], w_max) * scales[j]).clamp(0.0, w_max)`,
+    /// except that a NaN scale (a dead column) keeps the stored word's
+    /// exact bits. Branch-free: the dead-column case is a select, not a
+    /// skipped lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` and `scales` have different lengths.
+    pub fn rescale_effective(self, row: &mut [f32], scales: &[f32], w_max: f32) {
+        assert_eq!(row.len(), scales.len(), "row and scales must match");
+        #[cfg(target_arch = "x86_64")]
+        if self.run_avx2() {
+            // SAFETY: AVX2 presence verified at runtime just above.
+            unsafe { avx2::rescale_effective(row, scales, w_max) };
+            return;
+        }
+        scalar::rescale_effective(row, scales, w_max);
+    }
+
     /// Advances one sample's SoA membrane lanes by one timestep: decays
     /// the adaptive thresholds, clamps refractory lanes, leaks + integrates
     /// the drive, and records threshold crossings in `lanes.crossed`.
@@ -412,6 +479,32 @@ mod scalar {
         }
     }
 
+    // The two training passes below are `inline(always)` so the AVX2
+    // module can recompile the very same body under `target_feature`.
+
+    #[inline(always)]
+    pub(super) fn depress_accumulate(
+        row: &mut [f32],
+        trace_post: &[f32],
+        lr: f32,
+        w_max: f32,
+        drive: &mut [f32],
+    ) {
+        for ((w, &post), d) in row.iter_mut().zip(trace_post).zip(drive.iter_mut()) {
+            let depressed = (StoredWeights::effective(*w, w_max) - lr * post).clamp(0.0, w_max);
+            *w = depressed;
+            *d += depressed;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn rescale_effective(row: &mut [f32], scales: &[f32], w_max: f32) {
+        for (w, &scale) in row.iter_mut().zip(scales) {
+            let scaled = (StoredWeights::effective(*w, w_max) * scale).clamp(0.0, w_max);
+            *w = if scale.is_nan() { *w } else { scaled };
+        }
+    }
+
     pub(super) fn integrate_lanes(
         lif: &LifConfig,
         dt_ms: f32,
@@ -585,6 +678,35 @@ mod avx2 {
             c += 8;
         }
         scalar::accumulate_finite(&mut drive[c..], &row[c..]);
+    }
+
+    /// The portable body recompiled with AVX2 enabled: lanewise IEEE ops
+    /// only (rustc never contracts to FMA or reassociates), so the wide
+    /// code computes the scalar sequence exactly.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn depress_accumulate(
+        row: &mut [f32],
+        trace_post: &[f32],
+        lr: f32,
+        w_max: f32,
+        drive: &mut [f32],
+    ) {
+        scalar::depress_accumulate(row, trace_post, lr, w_max, drive);
+    }
+
+    /// The portable body recompiled with AVX2 enabled (see
+    /// [`depress_accumulate`]).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rescale_effective(row: &mut [f32], scales: &[f32], w_max: f32) {
+        scalar::rescale_effective(row, scales, w_max);
     }
 
     /// # Safety
@@ -911,6 +1033,64 @@ mod tests {
             assert_eq!(drive[1], 7.0, "{kernel:?}");
             assert_eq!(drive[2], 3.0, "{kernel:?}");
             assert!(drive[3].is_nan(), "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn depression_rewrites_into_bounds_and_accumulates() {
+        for &kernel in Kernel::available() {
+            let mut row = [
+                f32::NAN,
+                f32::INFINITY,
+                -1.0,
+                7.0,
+                0.5,
+                -0.0,
+                0.25,
+                1.0,
+                0.1,
+            ];
+            let trace = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 100.0];
+            let mut drive = [1.0f32; 9];
+            kernel.depress_accumulate(&mut row, &trace, 0.25, 1.0, &mut drive);
+            assert_eq!(
+                row,
+                [0.0, 0.0, 0.0, 1.0, 0.25, 0.0, 0.25, 0.75, 0.0],
+                "{kernel:?}"
+            );
+            assert_eq!(
+                row[5].to_bits(),
+                (-0.0f32).to_bits(),
+                "{kernel:?}: -0.0 kept"
+            );
+            assert_eq!(
+                drive,
+                [1.0, 1.0, 1.0, 2.0, 1.25, 1.0, 1.25, 1.75, 1.0],
+                "{kernel:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rescale_keeps_dead_column_words() {
+        for &kernel in Kernel::available() {
+            let nan = f32::NAN;
+            let mut row = [
+                f32::NAN,
+                -3.0,
+                f32::INFINITY,
+                0.5,
+                0.5,
+                2.0,
+                f32::NAN,
+                0.3,
+                0.9,
+            ];
+            let scales = [nan, nan, nan, nan, 2.0, 2.0, 2.0, 0.5, 4.0];
+            kernel.rescale_effective(&mut row, &scales, 1.0);
+            assert!(row[0].is_nan(), "{kernel:?}");
+            assert_eq!(row[1..4], [-3.0, f32::INFINITY, 0.5], "{kernel:?}");
+            assert_eq!(row[4..], [1.0, 1.0, 0.0, 0.15, 1.0], "{kernel:?}");
         }
     }
 

@@ -35,7 +35,11 @@
 //! state and keeps the training-facing API (`train_epoch`, `run_sample`
 //! with `learn = true`); its inference entry points (`evaluate`,
 //! `label_neurons`) delegate to the
-//! [`BatchEvaluator`](crate::engine::BatchEvaluator).
+//! [`BatchEvaluator`](crate::engine::BatchEvaluator). Training shares the
+//! planned encoder and the kernel layer too: depression and the drive
+//! read are one fused kernel row pass, and column normalisation runs
+//! through the kernels, with results bit-identical to the plain
+//! per-access loop.
 
 use crate::coding::PoissonEncoder;
 use crate::engine::{BatchEvaluator, IntraChoice};
@@ -803,6 +807,9 @@ pub struct RunState {
     drive: Vec<f32>,
     /// Input lines that spiked this timestep.
     active: Vec<usize>,
+    /// The training sample's precomputed spike plan (non-zero pixels +
+    /// thresholds); the inference path encodes directly.
+    plan: Vec<(u32, u32)>,
     /// Neurons that fired this timestep.
     fired: Vec<usize>,
     /// Dense mask of `fired` (inhibition pass).
@@ -1161,18 +1168,27 @@ impl DiehlCookNetwork {
         let mut counts = vec![0u32; config.n_neurons];
         state.begin_sample(config, &params.thetas);
         let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
+        // The planned encoder draws the same RNG sequence as `encode_step`
+        // (see `PoissonEncoder::plan`), so spike trains are unchanged.
+        config.encoder.plan(pixels, &mut state.plan);
         for _ in 0..config.timesteps {
-            config.encoder.encode_step(pixels, rng, &mut state.active);
+            config
+                .encoder
+                .encode_planned_step(&state.plan, rng, &mut state.active);
             stdp.decay(config.dt_ms);
-            stdp.on_pre_spikes(weights, &state.active);
-            state.accumulate_drive(config, weights, kernel);
+            // Depression and the drive read are one fused row pass: each
+            // active row is rewritten into `[0, w_max]` and added into the
+            // drive while hot, exactly the sums `accumulate_drive` would
+            // produce from the rewritten rows under either read rule.
+            state.drive.fill(0.0);
+            stdp.on_pre_spikes(weights, &state.active, &mut state.drive, kernel);
             state.resolve_firing(config, &mut counts);
             if !state.fired.is_empty() {
                 stdp.on_post_spikes(weights, &state.fired);
             }
             state.apply_inhibition(config);
         }
-        weights.normalize_columns(config.norm_target);
+        weights.normalize_columns(config.norm_target, kernel);
         stdp.reset();
         // Thresholds are learned state: persist them across samples.
         for (theta, neuron) in params.thetas.iter_mut().zip(&state.neurons) {
@@ -1189,12 +1205,17 @@ impl DiehlCookNetwork {
     /// the next sample), so this threads one RNG through the epoch exactly
     /// as previous revisions did. The effective plane is re-derived once
     /// at the end of the epoch (training itself reads the store directly).
+    /// Telemetry records one `snn.train_epoch` span and adds the sample
+    /// count to `snn.train_samples`, once per epoch.
     ///
     /// # Panics
     ///
     /// Panics if the dataset images do not match the input size (the
     /// datasets in this workspace always do).
     pub fn train_epoch(&mut self, dataset: &Dataset, seed: u64) -> u64 {
+        // Observation only, once per epoch: never per sample or timestep.
+        let _span = sparkxd_telemetry::span!("snn.train_epoch");
+        sparkxd_telemetry::counter_add!("snn.train_samples", dataset.len());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut state = RunState::default();
         let mut total = 0u64;

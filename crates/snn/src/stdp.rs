@@ -10,7 +10,11 @@
 //!
 //! Weights are clamped to `[0, w_max]`.
 
+use crate::kernels::Kernel;
 use crate::synapse::StoredWeights;
+
+/// How many inputs ahead the potentiation column walk prefetches.
+const PREFETCH_ROWS: usize = 16;
 
 /// STDP hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,17 +87,30 @@ impl StdpState {
         }
     }
 
-    /// Processes presynaptic spikes: depress fan-out weights of each active
-    /// input by the postsynaptic traces, then refresh the pre traces.
-    pub fn on_pre_spikes(&mut self, weights: &mut StoredWeights, active_inputs: &[usize]) {
+    /// Processes presynaptic spikes: depresses the fan-out weights of each
+    /// active input by the postsynaptic traces, adds the depressed row
+    /// into `drive` in the same pass, then refreshes the pre traces.
+    ///
+    /// This is training's only drive read: every depressed weight is
+    /// finite and inside `[0, w_max]`, so it is exactly the value either
+    /// synapse read rule would return for the rewritten row, and `drive`
+    /// (zeroed by the caller) receives the rows in `active_inputs` order —
+    /// the same sums a separate read pass after depression would produce.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `drive` does not hold one lane per neuron.
+    pub fn on_pre_spikes(
+        &mut self,
+        weights: &mut StoredWeights,
+        active_inputs: &[usize],
+        drive: &mut [f32],
+        kernel: Kernel,
+    ) {
         let w_max = weights.w_max();
         let lr = self.config.lr_depress;
         for &i in active_inputs {
-            let row = weights.fan_out_mut(i);
-            for (j, w) in row.iter_mut().enumerate() {
-                let eff = StoredWeights::effective(*w, w_max);
-                *w = (eff - lr * self.trace_post[j]).clamp(0.0, w_max);
-            }
+            kernel.depress_accumulate(weights.fan_out_mut(i), &self.trace_post, lr, w_max, drive);
             self.trace_pre[i] = 1.0;
         }
     }
@@ -102,14 +119,23 @@ impl StdpState {
     /// move by `lr · (trace_pre − x_target) · (w_max − w)` — potentiation
     /// for recently active inputs, depression for silent ones — then the
     /// post traces are refreshed.
+    ///
+    /// The walk down a weight column strides `neurons` words per input, so
+    /// it hints the word a few inputs ahead into cache while updating the
+    /// current one; the per-weight arithmetic is unchanged.
     pub fn on_post_spikes(&mut self, weights: &mut StoredWeights, fired: &[usize]) {
         let w_max = weights.w_max();
         let lr = self.config.lr_potentiate;
         let x_target = self.config.x_target;
         let neurons = weights.neurons();
+        let w = weights.as_mut_slice();
         for &j in fired {
             for (i, &pre) in self.trace_pre.iter().enumerate() {
-                let w = &mut weights.as_mut_slice()[i * neurons + j];
+                let ahead = (i + PREFETCH_ROWS) * neurons + j;
+                if let Some(next) = w.get(ahead..=ahead) {
+                    crate::kernels::prefetch_lanes(next);
+                }
+                let w = &mut w[i * neurons + j];
                 let eff = StoredWeights::effective(*w, w_max);
                 *w = (eff + lr * (pre - x_target) * (w_max - eff)).clamp(0.0, w_max);
             }
@@ -144,10 +170,18 @@ mod tests {
         (w, s)
     }
 
+    /// Presynaptic spikes through the fused pass with a scratch drive
+    /// buffer; returns the drive the pass accumulated.
+    fn pre(s: &mut StdpState, w: &mut StoredWeights, active: &[usize]) -> Vec<f32> {
+        let mut drive = vec![0.0; w.neurons()];
+        s.on_pre_spikes(w, active, &mut drive, Kernel::Scalar);
+        drive
+    }
+
     #[test]
     fn pre_then_post_potentiates() {
         let (mut w, mut s) = setup();
-        s.on_pre_spikes(&mut w, &[0]);
+        pre(&mut s, &mut w, &[0]);
         s.decay(1.0);
         let before = w.raw(0, 1);
         s.on_post_spikes(&mut w, &[1]);
@@ -163,14 +197,14 @@ mod tests {
         s.on_post_spikes(&mut w, &[0]);
         s.decay(1.0);
         let before = w.raw(1, 0);
-        s.on_pre_spikes(&mut w, &[1]);
+        pre(&mut s, &mut w, &[1]);
         assert!(w.raw(1, 0) < before, "post→pre order weakens");
     }
 
     #[test]
     fn traces_decay_exponentially() {
         let (mut w, mut s) = setup();
-        s.on_pre_spikes(&mut w, &[0]);
+        pre(&mut s, &mut w, &[0]);
         assert_eq!(s.trace_pre()[0], 1.0);
         for _ in 0..20 {
             s.decay(1.0);
@@ -184,7 +218,7 @@ mod tests {
     fn weights_stay_in_bounds_under_hammering() {
         let (mut w, mut s) = setup();
         for _ in 0..200 {
-            s.on_pre_spikes(&mut w, &[0, 1, 2, 3]);
+            pre(&mut s, &mut w, &[0, 1, 2, 3]);
             s.on_post_spikes(&mut w, &[0, 1]);
             s.decay(1.0);
         }
@@ -199,7 +233,7 @@ mod tests {
         let (mut w, mut s) = setup();
         // One pre spike arms the trace; repeated post spikes then drive the
         // soft-bounded weight towards (but never past) w_max.
-        s.on_pre_spikes(&mut w, &[0]);
+        pre(&mut s, &mut w, &[0]);
         for _ in 0..2000 {
             s.on_post_spikes(&mut w, &[0]);
         }
@@ -210,7 +244,7 @@ mod tests {
     #[test]
     fn reset_clears_traces() {
         let (mut w, mut s) = setup();
-        s.on_pre_spikes(&mut w, &[0]);
+        pre(&mut s, &mut w, &[0]);
         s.on_post_spikes(&mut w, &[0]);
         s.reset();
         assert!(s.trace_pre().iter().all(|&t| t == 0.0));
@@ -221,7 +255,45 @@ mod tests {
     fn corrupted_weight_is_scrubbed_on_update() {
         let mut w = StoredWeights::from_weights(1, 1, 1.0, vec![f32::INFINITY]);
         let mut s = StdpState::new(StdpConfig::standard(), 1, 1);
-        s.on_pre_spikes(&mut w, &[0]);
+        let drive = pre(&mut s, &mut w, &[0]);
         assert!(w.raw(0, 0).is_finite());
+        assert_eq!(drive, [0.0]);
+    }
+
+    #[test]
+    fn fused_drive_equals_reading_the_depressed_rows() {
+        // The fused pass must add exactly what a separate read of the
+        // depressed rows adds under either read rule, for corrupt words
+        // and at every kernel.
+        let stored = vec![
+            f32::NAN,
+            f32::INFINITY,
+            -1.0,
+            1.0e30,
+            -0.0,
+            1.5e-41,
+            2.5,
+            0.3,
+            0.7,
+            f32::NEG_INFINITY,
+            -7.0e-42,
+            0.0,
+        ];
+        for &kernel in Kernel::available() {
+            let mut w = StoredWeights::from_weights(2, 6, 1.0, stored.clone());
+            let mut s = StdpState::new(StdpConfig::standard(), 2, 6);
+            s.on_post_spikes(&mut w.clone(), &[1, 4]);
+            s.decay(1.0);
+            let mut drive = vec![0.0; 6];
+            s.on_pre_spikes(&mut w, &[0, 1], &mut drive, kernel);
+            let (mut clamped, mut unclamped) = (vec![0.0; 6], vec![0.0; 6]);
+            for i in [0, 1] {
+                kernel.accumulate_effective(&mut clamped, w.fan_out(i), 1.0);
+                kernel.accumulate_finite(&mut unclamped, w.fan_out(i));
+            }
+            let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&drive), bits(&clamped), "{kernel:?}");
+            assert_eq!(bits(&drive), bits(&unclamped), "{kernel:?}");
+        }
     }
 }

@@ -16,6 +16,8 @@
 //! mutate [`StoredWeights`] and rebuild the affected plane rows (see
 //! [`EffectivePlane::rebuild_rows`]).
 
+use crate::kernels::Kernel;
+
 /// Dense input→neuron weight matrix, row-major by input line
 /// (`w[input * neurons + neuron]`) — the bit-exact image stored in DRAM.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,23 +146,29 @@ impl StoredWeights {
 
     /// Normalises each neuron's total (effective) input weight to
     /// `target_sum` — Diehl & Cook's homeostatic weight normalisation,
-    /// applied after each training sample. Also repairs non-finite storage
-    /// (a training-time scrub; inference does not do this).
+    /// applied after each training sample.
     ///
-    /// The matrix is row-major, so both sweeps walk it row by row with
-    /// per-column accumulators/scales; per fixed column the accumulation
-    /// order over inputs is ascending, bit-identical to a column-major
-    /// traversal but cache-friendly at N3600.
-    pub fn normalize_columns(&mut self, target_sum: f32) {
+    /// A *live* column (effective sum > [`f32::EPSILON`]) is rewritten to
+    /// `(effective(w) * scale).clamp(0, w_max)` with
+    /// `scale = target_sum / sum`, which also
+    /// scrubs any non-finite or out-of-range word in it. A *dead* column
+    /// (effective sum ≤ `EPSILON`) is left exactly as stored: its raw
+    /// NaN/Inf/negative words survive. This is a training-time rule;
+    /// inference never rewrites storage.
+    ///
+    /// The matrix is row-major, so both sweeps walk it row by row through
+    /// `kernel` ([`Kernel::accumulate_effective`] into per-column sums,
+    /// then [`Kernel::rescale_effective`]); per fixed column the
+    /// accumulation order over inputs is ascending, bit-identical to a
+    /// column-major traversal but cache-friendly at N3600, and identical
+    /// under every kernel.
+    pub fn normalize_columns(&mut self, target_sum: f32, kernel: Kernel) {
         let w_max = self.w_max;
         let mut sums = vec![0.0f32; self.neurons];
         for row in self.w.chunks_exact(self.neurons) {
-            for (sum, &v) in sums.iter_mut().zip(row) {
-                *sum += Self::effective(v, w_max);
-            }
+            kernel.accumulate_effective(&mut sums, row, w_max);
         }
-        // NaN marks a dead column: left untouched, exactly like the old
-        // per-column `continue`.
+        // NaN marks a dead column: the scale pass keeps its words.
         let scales: Vec<f32> = sums
             .iter()
             .map(|&sum| {
@@ -172,12 +180,7 @@ impl StoredWeights {
             })
             .collect();
         for row in self.w.chunks_exact_mut(self.neurons) {
-            for (&scale, v) in scales.iter().zip(row) {
-                if scale.is_nan() {
-                    continue;
-                }
-                *v = (Self::effective(*v, w_max) * scale).clamp(0.0, w_max);
-            }
+            kernel.rescale_effective(row, &scales, w_max);
         }
     }
 
@@ -367,7 +370,7 @@ mod tests {
     #[test]
     fn normalisation_sets_column_sums() {
         let mut m = StoredWeights::random(50, 4, 1.0, 1);
-        m.normalize_columns(10.0);
+        m.normalize_columns(10.0, Kernel::Scalar);
         for j in 0..4 {
             let sum: f32 = (0..50).map(|i| m.raw(i, j)).sum();
             assert!((sum - 10.0).abs() < 0.1, "column {j} sum {sum}");
@@ -377,16 +380,35 @@ mod tests {
     #[test]
     fn normalisation_scrubs_corrupt_values() {
         let mut m = StoredWeights::from_weights(2, 1, 1.0, vec![f32::NAN, 0.5]);
-        m.normalize_columns(1.0);
+        m.normalize_columns(1.0, Kernel::Scalar);
         assert!(m.as_slice().iter().all(|v| v.is_finite()));
         assert!((m.raw(1, 0) - 1.0).abs() < 1e-6);
     }
 
     #[test]
+    fn normalisation_leaves_dead_columns_raw() {
+        // Column 0 sums to zero effective weight: its NaN/Inf/negative
+        // words are kept bit for bit, while live column 1 is scrubbed.
+        let stored = vec![f32::NAN, f32::NAN, f32::NEG_INFINITY, 0.5, -2.0, 0.25];
+        for &kernel in Kernel::available() {
+            let mut m = StoredWeights::from_weights(3, 2, 1.0, stored.clone());
+            m.normalize_columns(1.5, kernel);
+            assert!(m.raw(0, 0).is_nan(), "{kernel:?}");
+            assert_eq!(m.raw(1, 0), f32::NEG_INFINITY, "{kernel:?}");
+            assert_eq!(m.raw(2, 0), -2.0, "{kernel:?}");
+            assert_eq!(
+                [m.raw(0, 1), m.raw(1, 1), m.raw(2, 1)],
+                [0.0, 1.0, 0.5],
+                "{kernel:?}"
+            );
+        }
+    }
+
+    #[test]
     fn normalisation_matches_column_major_reference() {
-        // The row-major rewrite must be bit-identical to the original
-        // strided column-major traversal, including dead-column skipping
-        // and corrupt-value scrubbing.
+        // The row-major, kernel-dispatched rewrite must be bit-identical
+        // to the original strided column-major traversal, including
+        // dead-column skipping and corrupt-value scrubbing.
         let column_major_reference = |m: &mut StoredWeights, target_sum: f32| {
             let w_max = m.w_max();
             for j in 0..m.neurons() {
@@ -412,11 +434,16 @@ mod tests {
         for i in 0..37 {
             base.set(i, 9, 0.0);
         }
-        let mut rowwise = base.clone();
-        rowwise.normalize_columns(10.0);
-        let mut colwise = base;
+        let mut colwise = base.clone();
         column_major_reference(&mut colwise, 10.0);
-        assert_eq!(rowwise.as_slice(), colwise.as_slice());
+        for &kernel in Kernel::available() {
+            let mut rowwise = base.clone();
+            rowwise.normalize_columns(10.0, kernel);
+            let bits = |m: &StoredWeights| -> Vec<u32> {
+                m.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&rowwise), bits(&colwise), "{kernel:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests for the runtime-dispatched kernel layer: every kernel
 //! in [`Kernel::available()`] must produce **bit-identical** results —
 //! at the single-call level (drive accumulate, LIF lane update,
-//! inhibition sweep) and through the full `BatchEvaluator` stack — to
+//! inhibition sweep, and training's fused depression + drive pass and
+//! normalisation scale pass) and through the full `BatchEvaluator` stack — to
 //! the portable scalar kernel, for any weight contents (NaN, ±Inf,
 //! negatives, denormals, signed zero), any dead-row pattern, and every
 //! tail alignment `n % 8 ∈ {0..7}` the 8-lane AVX2 bodies can mishandle.
@@ -75,7 +76,7 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Runs every available kernel's five entry points against the scalar
+/// Runs every available kernel's seven entry points against the scalar
 /// kernel on identical inputs and demands bitwise agreement. `len`
 /// sweeps all tail alignments; `phase` rotates which nasty word lands
 /// on which lane.
@@ -144,6 +145,24 @@ fn check_kernels_agree(len: usize, phase: usize) {
         Kernel::Scalar.inhibit_lanes(&mut a, 7.5, lif.inhibition_floor());
         kernel.inhibit_lanes(&mut b, 7.5, lif.inhibition_floor());
         assert_bits_eq(&b, &a, "inhibit_lanes");
+        // Fused STDP depression + drive row pass: both the rewritten
+        // weights and the drive it accumulates, with adversarial words in
+        // the row, the post traces and the accumulator alike.
+        let trace = nasty_vec(len, phase.wrapping_add(3));
+        let (mut row_a, mut drive_a) = (row.clone(), drive0.clone());
+        let (mut row_b, mut drive_b) = (row.clone(), drive0.clone());
+        Kernel::Scalar.depress_accumulate(&mut row_a, &trace, 0.0012, 1.0, &mut drive_a);
+        kernel.depress_accumulate(&mut row_b, &trace, 0.0012, 1.0, &mut drive_b);
+        assert_bits_eq(&row_b, &row_a, "depress_accumulate weights");
+        assert_bits_eq(&drive_b, &drive_a, "depress_accumulate drive");
+        // Normalisation scale pass: NaN scales (dead columns) must keep
+        // the stored word's bits, every other scale rewrites it.
+        let scales = nasty_vec(len, phase.wrapping_add(11));
+        let mut a = row.clone();
+        let mut b = row.clone();
+        Kernel::Scalar.rescale_effective(&mut a, &scales, 1.0);
+        kernel.rescale_effective(&mut b, &scales, 1.0);
+        assert_bits_eq(&b, &a, "rescale_effective");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Spans-mode acceptance: one tiny pipeline run in `SPARKXD_TELEMETRY=spans`
 //! mode must produce a loadable Chrome trace-event file covering all
-//! seven pipeline stage spans plus at least one `WorkerPool` dispatch
-//! span and one DRAM replay span beneath them.
+//! seven pipeline stage spans plus at least one training-epoch span, one
+//! `WorkerPool` dispatch span and one DRAM replay span beneath them.
 //!
 //! Single `#[test]` on purpose: the telemetry mode is process-global,
 //! like the engine knobs the sibling invariance suites pin.
@@ -48,8 +48,8 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
         "unbalanced trace JSON"
     );
 
-    // Coverage: every pipeline stage, plus the pool and DRAM replay
-    // spans the stages fan out into.
+    // Coverage: every pipeline stage, plus the training, pool and DRAM
+    // replay spans the stages fan out into.
     for span in [
         "pipeline.data",
         "pipeline.baseline_model",
@@ -58,6 +58,7 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
         "pipeline.mapping",
         "pipeline.operating_accuracy",
         "pipeline.energy",
+        "snn.train_epoch",
         "pool.run",
         "dram.replay",
     ] {
