@@ -11,7 +11,8 @@
 use crate::CoreError;
 use sparkxd_data::Dataset;
 use sparkxd_error::{ErrorModel, Injector};
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler};
+use sparkxd_snn::engine::join;
+use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, StoredWeights};
 
 /// Configuration of the fault-aware training loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,20 +116,35 @@ impl FaultAwareTrainer {
         trials: usize,
         seed: u64,
     ) -> f64 {
+        let mut scratch = net.weights().clone();
+        self.accuracy_under_errors_in(net, labeler, test, ber, trials, seed, &mut scratch)
+    }
+
+    /// [`accuracy_under_errors`](Self::accuracy_under_errors) on a
+    /// caller-owned scratch image, refreshed per trial through the
+    /// buffer-reusing `clone_from`, so repeated calls allocate nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn accuracy_under_errors_in(
+        &self,
+        net: &mut DiehlCookNetwork,
+        labeler: &NeuronLabeler,
+        test: &Dataset,
+        ber: f64,
+        trials: usize,
+        seed: u64,
+        scratch: &mut StoredWeights,
+    ) -> f64 {
         let mut injector = Injector::new(self.config.error_model, seed);
         let mut total = 0.0;
-        let mut scratch = net.weights().clone();
         let mut touched = Vec::new();
         for trial in 0..trials.max(1) {
-            scratch
-                .as_mut_slice()
-                .copy_from_slice(net.weights().as_slice());
+            scratch.clone_from(net.weights());
             touched.clear();
             injector.inject_uniform_tracked(scratch.as_mut_slice(), ber, &mut touched);
             let rows = scratch.rows_of_words(&touched);
-            net.swap_weights_rows(&mut scratch, &rows);
+            net.swap_weights_rows(scratch, &rows);
             total += net.evaluate(test, labeler, self.config.spike_seed ^ (trial as u64) << 32);
-            net.swap_weights_rows(&mut scratch, &rows);
+            net.swap_weights_rows(scratch, &rows);
         }
         total / trials.max(1) as f64
     }
@@ -140,9 +156,21 @@ impl FaultAwareTrainer {
     /// the highest scheduled BER whose accuracy met the bound, or from the
     /// last schedule step if none did.
     ///
-    /// The rate steps are sequential by construction (each adapts the
-    /// weights the next step starts from), but every labelling/evaluation
-    /// inside a step runs sample-parallel on the batch engine.
+    /// The rate steps train one after another (each adapts the weights
+    /// the next step starts from), but a step's retraining never needs the
+    /// previous step's accuracy. So the evaluations are pipelined behind
+    /// the training through [`join`]: while step k+1 trains on the calling
+    /// thread, a pool helper labels and measures a snapshot of the step-k
+    /// model (the baseline `model0` evaluation overlaps step 0). The last
+    /// step's evaluation and the final clean evaluation run afterwards on
+    /// the full thread budget. Every evaluation is a pure function of
+    /// (model, dataset, seed) with its own per-step injector, so the
+    /// outcome is bit-identical to running the steps strictly in order —
+    /// which is exactly what happens on one configured thread.
+    ///
+    /// Snapshots are recycled through the buffer-reusing `clone_from`:
+    /// at most three are live (one under evaluation, the best so far and
+    /// one spare), and a winning snapshot moves into the best slot.
     ///
     /// # Errors
     ///
@@ -155,42 +183,50 @@ impl FaultAwareTrainer {
         test: &Dataset,
     ) -> Result<FaultAwareOutcome, CoreError> {
         let cfg = &self.config;
-        // Baseline (model0) accuracy without errors.
-        let labeler0 = net.label_neurons(train, cfg.spike_seed ^ 0xABCD);
-        let baseline_accuracy = net.evaluate(test, &labeler0, cfg.spike_seed ^ 0xEF01);
-        let target = baseline_accuracy - cfg.accuracy_bound;
-
         let mut injector = Injector::new(cfg.error_model, cfg.injection_seed);
-        let mut curve = Vec::with_capacity(cfg.ber_schedule.len());
-        let mut best: Option<(f64, DiehlCookNetwork, NeuronLabeler)> = None;
-
+        let mut tally = Tally {
+            accuracy_bound: cfg.accuracy_bound,
+            baseline_accuracy: 0.0,
+            curve: Vec::with_capacity(cfg.ber_schedule.len()),
+            best: None,
+        };
+        let mut scratch = net.weights().clone();
+        let mut spare: Option<DiehlCookNetwork> = None;
+        let mut pending = Checkpoint::Baseline;
         for (step, &ber) in cfg.ber_schedule.iter().enumerate() {
-            // Algorithm 1 lines 3-4: generate and inject errors into the
-            // model, then train with them in place.
-            net.with_weights_mut(|w| injector.inject_uniform(w.as_mut_slice(), ber));
-            for epoch in 0..cfg.epochs_per_rate {
-                net.train_epoch(train, cfg.spike_seed ^ ((step * 31 + epoch) as u64));
-            }
-            // Lines 8-9: test the adapted model under this error rate.
-            let labeler = net.label_neurons(train, cfg.spike_seed ^ 0xABCD);
-            let acc = self.accuracy_under_errors(
-                net,
-                &labeler,
-                test,
-                ber,
-                cfg.eval_trials,
-                cfg.injection_seed ^ (step as u64) << 16,
+            let mut snapshot = match spare.take() {
+                Some(mut recycled) => {
+                    recycled.clone_from(net);
+                    recycled
+                }
+                None => net.clone(),
+            };
+            let ((), (labeler, accuracy)) = join(
+                || self.adapt(net, &mut injector, train, step, ber),
+                || {
+                    let _span = sparkxd_telemetry::span!("fat.step_eval");
+                    self.measure(&mut snapshot, &mut scratch, train, test, pending)
+                },
             );
-            curve.push((ber, acc));
-            // Lines 10-13: keep the highest rate meeting the target.
-            if acc >= target {
-                best = Some((ber, net.clone(), labeler));
-            }
+            spare = tally.record(pending, accuracy, labeler, Some(snapshot));
+            pending = Checkpoint::Step { index: step, ber };
         }
+        drop(spare);
+        // The last checkpoint is the trained network itself.
+        let (labeler, accuracy) = self.measure(net, &mut scratch, train, test, pending);
+        tally.record(pending, accuracy, labeler, None);
 
+        let Tally {
+            baseline_accuracy,
+            curve,
+            best,
+            ..
+        } = tally;
         let (max_tolerable_ber, labeler) = match best {
             Some((ber, model, labeler)) => {
-                *net = model;
+                if let Some(model) = model {
+                    *net = model;
+                }
                 (Some(ber), labeler)
             }
             None => (None, net.label_neurons(train, cfg.spike_seed ^ 0xABCD)),
@@ -203,6 +239,96 @@ impl FaultAwareTrainer {
             max_tolerable_ber,
             labeler,
         })
+    }
+
+    /// Algorithm 1 lines 3-4 for one rate step: generate and inject errors
+    /// into the model, then train with them in place.
+    fn adapt(
+        &self,
+        net: &mut DiehlCookNetwork,
+        injector: &mut Injector,
+        train: &Dataset,
+        step: usize,
+        ber: f64,
+    ) {
+        let cfg = &self.config;
+        net.with_weights_mut(|w| injector.inject_uniform(w.as_mut_slice(), ber));
+        for epoch in 0..cfg.epochs_per_rate {
+            net.train_epoch(train, cfg.spike_seed ^ ((step * 31 + epoch) as u64));
+        }
+    }
+
+    /// Labels `model` and measures its accuracy at checkpoint `at`:
+    /// error-free for the baseline, under that step's errors (lines 8-9)
+    /// otherwise. Leaves `model` unchanged.
+    fn measure(
+        &self,
+        model: &mut DiehlCookNetwork,
+        scratch: &mut StoredWeights,
+        train: &Dataset,
+        test: &Dataset,
+        at: Checkpoint,
+    ) -> (NeuronLabeler, f64) {
+        let cfg = &self.config;
+        let labeler = model.label_neurons(train, cfg.spike_seed ^ 0xABCD);
+        let accuracy = match at {
+            Checkpoint::Baseline => model.evaluate(test, &labeler, cfg.spike_seed ^ 0xEF01),
+            Checkpoint::Step { index, ber } => self.accuracy_under_errors_in(
+                model,
+                &labeler,
+                test,
+                ber,
+                cfg.eval_trials,
+                cfg.injection_seed ^ (index as u64) << 16,
+                scratch,
+            ),
+        };
+        (labeler, accuracy)
+    }
+}
+
+/// A model state Algorithm 1 evaluates: the error-free baseline
+/// (`model0`) or the model adapted at one BER step.
+#[derive(Debug, Clone, Copy)]
+enum Checkpoint {
+    Baseline,
+    Step { index: usize, ber: f64 },
+}
+
+/// Algorithm 1's running result, recorded one checkpoint at a time in
+/// schedule order.
+struct Tally {
+    accuracy_bound: f64,
+    baseline_accuracy: f64,
+    curve: Vec<(f64, f64)>,
+    /// The highest rate meeting the target so far, with its model (`None`
+    /// when that model is the trained network itself) and labelling.
+    best: Option<(f64, Option<DiehlCookNetwork>, NeuronLabeler)>,
+}
+
+impl Tally {
+    /// Records checkpoint `at`; returns the model it no longer needs (a
+    /// losing snapshot or a displaced best) for recycling.
+    fn record(
+        &mut self,
+        at: Checkpoint,
+        accuracy: f64,
+        labeler: NeuronLabeler,
+        model: Option<DiehlCookNetwork>,
+    ) -> Option<DiehlCookNetwork> {
+        let Checkpoint::Step { ber, .. } = at else {
+            self.baseline_accuracy = accuracy;
+            return model;
+        };
+        self.curve.push((ber, accuracy));
+        // Lines 10-13: keep the highest rate meeting the target.
+        if accuracy >= self.baseline_accuracy - self.accuracy_bound {
+            self.best
+                .replace((ber, model, labeler))
+                .and_then(|(_, displaced, _)| displaced)
+        } else {
+            model
+        }
     }
 }
 

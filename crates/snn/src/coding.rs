@@ -77,6 +77,11 @@ impl PoissonEncoder {
     /// Bit-identical to [`encode_step`](Self::encode_step) on the pixels
     /// the plan was built from: one `next_u32` per entry — the same draw
     /// `gen::<f32>()` consumes — against the precomputed integer threshold.
+    ///
+    /// The loop is branch-free: every entry is written to the next free
+    /// slot and the slot count advances by the accept bit. It draws from a
+    /// local copy of the generator (so the state stays in registers) and
+    /// writes that copy back, leaving `rng` exactly where the draws end.
     pub fn encode_planned_step(
         &self,
         plan: &[(u32, u32)],
@@ -85,11 +90,15 @@ impl PoissonEncoder {
     ) {
         use rand::RngCore;
         active.clear();
+        active.resize(plan.len(), 0);
+        let mut local = rng.clone();
+        let mut len = 0;
         for &(i, threshold) in plan {
-            if (rng.next_u32() >> 8) < threshold {
-                active.push(i as usize);
-            }
+            active[len] = i as usize;
+            len += usize::from((local.next_u32() >> 8) < threshold);
         }
+        active.truncate(len);
+        *rng = local;
     }
 }
 
@@ -150,15 +159,51 @@ mod tests {
         let mut plan = Vec::new();
         e.plan(&pixels, &mut plan);
         assert_eq!(plan.len(), pixels.iter().filter(|&&p| p > 0.0).count());
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let mut direct = Vec::new();
-        let mut planned = Vec::new();
-        for _ in 0..50 {
-            e.encode_step(&pixels, &mut rng_a, &mut direct);
+        assert_planned_matches_direct(&pixels, 11);
+    }
+
+    /// Runs both encoders over `pixels` for 200 steps from one seed and
+    /// asserts identical spike trains and an identical next draw.
+    fn assert_planned_matches_direct(pixels: &[f32], seed: u64) {
+        use rand::RngCore;
+        let e = PoissonEncoder::standard();
+        let mut plan = Vec::new();
+        e.plan(pixels, &mut plan);
+        let mut rng_a = StdRng::seed_from_u64(seed);
+        let mut rng_b = StdRng::seed_from_u64(seed);
+        let (mut direct, mut planned) = (Vec::new(), Vec::new());
+        for step in 0..200 {
+            e.encode_step(pixels, &mut rng_a, &mut direct);
             e.encode_planned_step(&plan, &mut rng_b, &mut planned);
-            assert_eq!(direct, planned);
+            assert_eq!(direct, planned, "step {step}");
         }
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "generator written back");
+    }
+
+    #[test]
+    fn planned_encoding_matches_direct_on_edge_cases() {
+        let e = PoissonEncoder::standard();
+        // Saturating pixel: probability clamps to 1.0, threshold 2^24, so
+        // every draw fires in both paths.
+        let saturating = 10.0f32;
+        assert_eq!(e.spike_probability(saturating), 1.0);
+        let mut plan = Vec::new();
+        e.plan(&[saturating], &mut plan);
+        assert_eq!(plan, vec![(0, 1 << 24)]);
+        let mut mixed = vec![0.0f32; 20];
+        mixed[3] = saturating;
+        mixed[11] = 0.5;
+        assert_planned_matches_direct(&mixed, 21);
+        // Near-zero probabilities: threshold 1, only a zero draw fires.
+        let tiny = [1.0e-30f32, f32::MIN_POSITIVE, 1.0e-45, 0.0, 1.0e-7];
+        e.plan(&tiny, &mut plan);
+        assert!(plan.iter().all(|&(_, t)| t <= 2), "{plan:?}");
+        assert_planned_matches_direct(&tiny, 22);
+        // Empty plan: an all-dark image draws nothing.
+        assert_planned_matches_direct(&[0.0f32; 64], 23);
+        assert_planned_matches_direct(&[], 24);
+        // All-bright image: every pixel is in the plan.
+        assert_planned_matches_direct(&[1.0f32; 784], 25);
     }
 
     #[test]

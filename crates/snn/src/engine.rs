@@ -21,6 +21,10 @@
 //! result is bit-identical for **any** worker count *and any batch size*,
 //! including fully serial scalar execution.
 //!
+//! Beyond data parallelism, [`join`] runs two independent closures at
+//! once — the caller takes one, a pool helper the other. Fault-aware
+//! training uses it to evaluate one BER step while the next step trains.
+//!
 //! Worker counts come from `std::thread::available_parallelism()`, with
 //! the `SPARKXD_THREADS` environment variable as an override (`1` forces
 //! serial execution; higher values pin the exact thread count). The batch
@@ -635,6 +639,20 @@ impl WorkerPool {
             }
             return;
         }
+        self.dispatch(jobs, extra, job, || {});
+    }
+
+    /// Queues `job(0..jobs)` with `extra` helper seats, runs `own` on the
+    /// calling thread, then drains whatever jobs no helper has claimed.
+    /// Returns once every participant has left the task; the first panic
+    /// (from `own` or any job) is resumed on the caller.
+    fn dispatch(
+        &self,
+        jobs: usize,
+        extra: usize,
+        job: &(dyn Fn(usize) + Sync),
+        own: impl FnOnce(),
+    ) {
         self.dispatches.fetch_add(1, Ordering::Relaxed);
         // Observation only: the span times the whole pooled dispatch
         // (queue push through last-helper exit); the counter mirrors the
@@ -655,7 +673,11 @@ impl WorkerPool {
             panic: Mutex::new(None),
         });
         self.enqueue(Arc::clone(&task), extra);
-        let caller_panic = task.run_jobs();
+        // A panicking `own` skips the drain: unclaimed jobs stay unrun
+        // (the caller unwinds anyway), claimed ones finish below.
+        let caller_panic = catch_unwind(AssertUnwindSafe(own))
+            .err()
+            .or_else(|| task.run_jobs());
         // Retire the task (no further helper can join), then wait for
         // the ones that did to leave — only then may the job closure and
         // anything it borrows go out of scope.
@@ -795,6 +817,47 @@ where
         .into_iter()
         .map(|slot| slot.into_inner().expect("every slot filled"))
         .collect()
+}
+
+/// Runs `a` on the calling thread and `b` on one parked helper of the
+/// persistent [`WorkerPool`], returning both results.
+///
+/// The helper is claimed from the global thread budget for the duration
+/// of the call ([`WorkerReservation::claim_leftover`]), so parallel calls
+/// nested inside `a` or `b` size themselves to what is left: on two
+/// workers a `label_neurons`/`evaluate` inside `b` runs inline and the
+/// intra-chunk sweep stays serial. With no budget left (`SPARKXD_THREADS=1`,
+/// or outer levels already busy) this is simply `a()` then `b()`; if no
+/// helper picks `b` up before `a` finishes, the caller runs it too. A
+/// panic in either closure propagates to the caller once both sides have
+/// stopped.
+///
+/// The split only ever changes wall time: each closure runs exactly once,
+/// so `join` is as deterministic as the closures are.
+pub fn join<RA, RB>(a: impl FnOnce() -> RA, b: impl FnOnce() -> RB + Send) -> (RA, RB)
+where
+    RB: Send,
+{
+    let (granted, _helper) = WorkerReservation::claim_leftover(configured_threads(), 1);
+    if granted == 0 {
+        let ra = a();
+        return (ra, b());
+    }
+    let b = Mutex::new(Some(b));
+    let rb = Mutex::new(None);
+    let mut ra = None;
+    WorkerPool::global().dispatch(
+        1,
+        1,
+        &|_| {
+            let b = b.lock().expect("join closure").take().expect("b runs once");
+            let out = b();
+            *rb.lock().expect("join result") = Some(out);
+        },
+        || ra = Some(a()),
+    );
+    let rb = rb.into_inner().expect("join result").expect("b ran");
+    (ra.expect("a ran"), rb)
 }
 
 /// Splits `0..n` into `parts` contiguous, near-equal ranges (the longer
@@ -1530,6 +1593,54 @@ mod tests {
             })
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn join_returns_both_results() {
+        let left = [1u64, 2, 3];
+        let (a, b) = join(
+            || left.iter().sum::<u64>(),
+            || (0..10u64).map(|x| x * x).sum::<u64>(),
+        );
+        assert_eq!((a, b), (6, 285));
+        // Results of different types, and a `b` that borrows mutably.
+        let mut log = Vec::new();
+        let (a, ()) = join(|| "left", || log.push(7));
+        assert_eq!(a, "left");
+        assert_eq!(log, vec![7]);
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_closure() {
+        let left = catch_unwind(AssertUnwindSafe(|| {
+            join(|| panic!("a failed"), || 1);
+        }));
+        assert!(left.is_err(), "a panic in `a` must reach the caller");
+        let right = catch_unwind(AssertUnwindSafe(|| {
+            join(|| 1, || panic!("b failed"));
+        }));
+        assert!(right.is_err(), "a panic in `b` must reach the caller");
+        // The pool and the budget stay usable afterwards.
+        assert_eq!(join(|| 2, || 3), (2, 3));
+        assert_eq!(parallel_map(&[1, 2, 3], 2, |_, &x| x * 2), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn join_runs_serially_on_the_caller_without_budget() {
+        // A huge outer reservation leaves no helper to claim: `b` must run
+        // on the calling thread, after `a` (sibling tests only reserve
+        // more, so this is race-free).
+        let _outer = WorkerReservation::for_pool(100_000);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        join(
+            || order.lock().unwrap().push("a"),
+            || {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push("b");
+            },
+        );
+        assert_eq!(*order.lock().unwrap(), vec!["a", "b"]);
     }
 
     #[test]

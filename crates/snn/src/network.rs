@@ -37,15 +37,16 @@
 //! `label_neurons`) delegate to the
 //! [`BatchEvaluator`](crate::engine::BatchEvaluator). Training shares the
 //! planned encoder and the kernel layer too: depression and the drive
-//! read are one fused kernel row pass, and column normalisation runs
-//! through the kernels, with results bit-identical to the plain
-//! per-access loop.
+//! read are one fused kernel row pass, the LIF integrate/fire/inhibit
+//! step runs on the same SoA lanes and kernels as `run_batch`, and column
+//! normalisation runs through the kernels, with results bit-identical to
+//! the plain per-access loop.
 
 use crate::coding::PoissonEncoder;
 use crate::engine::{BatchEvaluator, IntraChoice};
 use crate::eval::NeuronLabeler;
 use crate::kernels::{Kernel, KernelChoice, LifLanes};
-use crate::neuron::{LifConfig, LifState};
+use crate::neuron::LifConfig;
 use crate::stdp::{StdpConfig, StdpState};
 use crate::synapse::{EffectivePlane, StoredWeights};
 use crate::SnnError;
@@ -141,12 +142,34 @@ impl SnnConfig {
 /// [`with_weights_mut`](Self::with_weights_mut)) restores the invariant
 /// that the plane is a fresh derivation of the store, so readers never see
 /// a stale plane.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `clone_from` reuses the destination's weight, plane and threshold
+/// buffers, so a snapshot refreshed once per training step costs a copy,
+/// not an allocation.
+#[derive(Debug, PartialEq)]
 pub struct NetworkParams {
     config: SnnConfig,
     weights: StoredWeights,
     plane: EffectivePlane,
     thetas: Vec<f32>,
+}
+
+impl Clone for NetworkParams {
+    fn clone(&self) -> Self {
+        Self {
+            config: self.config.clone(),
+            weights: self.weights.clone(),
+            plane: self.plane.clone(),
+            thetas: self.thetas.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.weights.clone_from(&source.weights);
+        self.plane.clone_from(&source.plane);
+        self.thetas.clone_from(&source.thetas);
+    }
 }
 
 impl NetworkParams {
@@ -225,10 +248,11 @@ impl NetworkParams {
         out
     }
 
-    /// Re-derives the full plane from the store (training mutates storage
-    /// directly and calls this once per sample/epoch boundary).
+    /// Re-derives the full plane from the store in place (training
+    /// mutates storage directly and calls this once per sample/epoch
+    /// boundary).
     fn rebuild_plane(&mut self) {
-        self.plane = EffectivePlane::build(&self.weights, self.config.clamp_reads);
+        self.plane.rebuild_all(&self.weights);
     }
 
     /// Adaptive-threshold values per neuron.
@@ -268,8 +292,7 @@ impl NetworkParams {
                 .encoder
                 .encode_step(pixels, rng, &mut state.active);
             state.accumulate_drive(&self.config, &self.weights, kernel);
-            state.resolve_firing(&self.config, &mut counts);
-            state.apply_inhibition(&self.config);
+            state.lif_step(&self.config, kernel, &mut counts);
         }
         Ok(counts)
     }
@@ -666,7 +689,7 @@ unsafe fn sweep_lane_range(
 /// every crossing lane fires; under hard WTA only the lane with the
 /// largest threshold margin does (ties keep the lowest index, as in the
 /// scalar path). Firing lanes reset, raise theta and enter refractory —
-/// exactly [`LifState::fire`].
+/// exactly [`LifState::fire`](crate::neuron::LifState::fire).
 fn commit_firing_slab(
     config: &SnnConfig,
     v: &mut [f32],
@@ -711,7 +734,8 @@ fn commit_firing_slab(
 }
 
 /// Lateral inhibition over one sample slab — exactly
-/// [`LifState::inhibit`] applied to every non-firing lane.
+/// [`LifState::inhibit`](crate::neuron::LifState::inhibit) applied to
+/// every non-firing lane.
 ///
 /// `fired` is sorted ascending and deduplicated (it comes from
 /// [`commit_firing_slab`]'s index walk), so instead of building a dense
@@ -735,85 +759,35 @@ fn inhibit_slab(config: &SnnConfig, kernel: Kernel, v: &mut [f32], fired: &[usiz
     kernel.inhibit_lanes(&mut v[start..], strength, floor);
 }
 
-/// Integrates one sample's drive and resolves who fires (soft or hard
-/// WTA), recording spikes into `fired` (cleared first) and `counts` — the
-/// scalar (AoS) reference implementation driven by [`RunState`].
-fn resolve_firing_step(
-    config: &SnnConfig,
-    neurons: &mut [LifState],
-    drive: &[f32],
-    fired: &mut Vec<usize>,
-    counts: &mut [u32],
-) {
-    fired.clear();
-    if config.hard_wta {
-        let mut winner: Option<(usize, f32)> = None;
-        for (j, neuron) in neurons.iter_mut().enumerate() {
-            if neuron.integrate(&config.lif, drive[j], config.dt_ms) {
-                let margin = neuron.threshold_margin(&config.lif);
-                if winner.is_none_or(|(_, best)| margin > best) {
-                    winner = Some((j, margin));
-                }
-            }
-        }
-        if let Some((j, _)) = winner {
-            neurons[j].fire(&config.lif);
-            fired.push(j);
-            counts[j] += 1;
-        }
-    } else {
-        for (j, neuron) in neurons.iter_mut().enumerate() {
-            if neuron.step(&config.lif, drive[j], config.dt_ms) {
-                fired.push(j);
-                counts[j] += 1;
-            }
-        }
-    }
-}
-
-/// Lateral inhibition: every spike hyperpolarises all other neurons,
-/// enforcing competition. `is_fired` is scratch sized to the population.
-fn apply_inhibition_step(
-    config: &SnnConfig,
-    neurons: &mut [LifState],
-    fired: &[usize],
-    is_fired: &mut [bool],
-) {
-    if fired.is_empty() {
-        return;
-    }
-    let strength = config.inhibition_mv * fired.len() as f32;
-    is_fired.fill(false);
-    for &j in fired {
-        is_fired[j] = true;
-    }
-    for (j, neuron) in neurons.iter_mut().enumerate() {
-        if !is_fired[j] {
-            neuron.inhibit(&config.lif, strength);
-        }
-    }
-}
-
-/// Per-run mutable scratch of one simulation worker: membrane state,
+/// Per-run mutable scratch of one simulation worker: SoA membrane lanes,
 /// synaptic drive and spike buffers. Reused across samples — every buffer
 /// is reset by `begin_sample` — so the hot loop allocates nothing.
+///
+/// The lanes are the one-sample case of [`BatchState`]'s slabs and go
+/// through the same kernel entry points ([`Kernel::integrate_lanes`],
+/// [`commit_firing_slab`], [`inhibit_slab`]), for inference
+/// ([`NetworkParams::run_sample`]) and STDP training alike.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunState {
-    /// Membrane state; `theta` holds a per-sample working copy of the
-    /// frozen thresholds (they decay/grow *within* a presentation window,
-    /// which must not leak back into the parameters at inference).
-    neurons: Vec<LifState>,
+    /// Membrane potentials.
+    v: Vec<f32>,
+    /// Per-sample working copy of the adaptive thresholds (they decay and
+    /// grow *within* a presentation window; only training writes them
+    /// back into the parameters).
+    theta: Vec<f32>,
+    /// Remaining refractory times.
+    refractory: Vec<f32>,
     /// Synaptic drive accumulated this timestep (mV per neuron).
     drive: Vec<f32>,
+    /// Threshold-crossing mask of the current timestep.
+    crossed: Vec<bool>,
     /// Input lines that spiked this timestep.
     active: Vec<usize>,
     /// The training sample's precomputed spike plan (non-zero pixels +
     /// thresholds); the inference path encodes directly.
     plan: Vec<(u32, u32)>,
-    /// Neurons that fired this timestep.
+    /// Neurons that fired this timestep (sorted ascending).
     fired: Vec<usize>,
-    /// Dense mask of `fired` (inhibition pass).
-    is_fired: Vec<bool>,
     /// Pinned kernel; `None` resolves from `SPARKXD_KERNEL` /
     /// auto-detection on every [`NetworkParams::run_sample`] call.
     kernel: Option<Kernel>,
@@ -845,16 +819,14 @@ impl RunState {
     /// refractory timers cleared, thresholds copied from `thetas`.
     fn begin_sample(&mut self, config: &SnnConfig, thetas: &[f32]) {
         let n = thetas.len();
-        self.neurons.resize(n, LifState::default());
+        self.v.clear();
+        self.v.resize(n, config.lif.v_rest);
+        self.refractory.clear();
+        self.refractory.resize(n, 0.0);
+        self.theta.clear();
+        self.theta.extend_from_slice(thetas);
         self.drive.resize(n, 0.0);
-        self.is_fired.resize(n, false);
-        for (neuron, &theta) in self.neurons.iter_mut().zip(thetas) {
-            *neuron = LifState {
-                v: config.lif.v_rest,
-                theta,
-                refractory_left: 0.0,
-            };
-        }
+        self.crossed.resize(n, false);
         self.active.clear();
         self.fired.clear();
     }
@@ -877,22 +849,37 @@ impl RunState {
         }
     }
 
-    /// Integrates the drive and resolves who fires (soft or hard WTA),
-    /// recording spikes into `fired` and `counts`.
-    fn resolve_firing(&mut self, config: &SnnConfig, counts: &mut [u32]) {
-        resolve_firing_step(
+    /// One LIF timestep on the accumulated drive: integrates every lane,
+    /// commits who fires (soft or hard WTA) into `fired` and `counts`,
+    /// then applies lateral inhibition — the one-sample case of
+    /// [`NetworkParams::run_batch`]'s per-sample pass.
+    fn lif_step(&mut self, config: &SnnConfig, kernel: Kernel, counts: &mut [u32]) {
+        let any_crossed = kernel.integrate_lanes(
+            &config.lif,
+            config.dt_ms,
+            LifLanes {
+                v: &mut self.v,
+                theta: &mut self.theta,
+                refractory: &mut self.refractory,
+                drive: &self.drive,
+                crossed: &mut self.crossed,
+            },
+        );
+        if !any_crossed {
+            // Nothing fires and inhibition is a no-op this step.
+            self.fired.clear();
+            return;
+        }
+        commit_firing_slab(
             config,
-            &mut self.neurons,
-            &self.drive,
+            &mut self.v,
+            &mut self.theta,
+            &mut self.refractory,
+            &self.crossed,
             &mut self.fired,
             counts,
         );
-    }
-
-    /// Lateral inhibition: every spike hyperpolarises all other neurons,
-    /// enforcing competition.
-    fn apply_inhibition(&mut self, config: &SnnConfig) {
-        apply_inhibition_step(config, &mut self.neurons, &self.fired, &mut self.is_fired);
+        inhibit_slab(config, kernel, &mut self.v, &self.fired);
     }
 }
 
@@ -1040,10 +1027,27 @@ impl BatchState {
 /// net.train_epoch(&data, 1);
 /// assert_eq!(net.weights().neurons(), 20);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `clone_from` reuses the destination's buffers (see [`NetworkParams`]),
+/// which is how fault-aware training refreshes its per-step snapshots.
+#[derive(Debug, PartialEq)]
 pub struct DiehlCookNetwork {
     params: NetworkParams,
     stdp: StdpState,
+}
+
+impl Clone for DiehlCookNetwork {
+    fn clone(&self) -> Self {
+        Self {
+            params: self.params.clone(),
+            stdp: self.stdp.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.params.clone_from(&source.params);
+        self.stdp.clone_from(&source.stdp);
+    }
 }
 
 impl DiehlCookNetwork {
@@ -1182,18 +1186,18 @@ impl DiehlCookNetwork {
             // produce from the rewritten rows under either read rule.
             state.drive.fill(0.0);
             stdp.on_pre_spikes(weights, &state.active, &mut state.drive, kernel);
-            state.resolve_firing(config, &mut counts);
+            // Integrate, fire and inhibit on the SoA lanes. Inhibition
+            // only lowers non-firing membranes, which potentiation never
+            // reads, so it may run before the post-spike update.
+            state.lif_step(config, kernel, &mut counts);
             if !state.fired.is_empty() {
                 stdp.on_post_spikes(weights, &state.fired);
             }
-            state.apply_inhibition(config);
         }
         weights.normalize_columns(config.norm_target, kernel);
         stdp.reset();
         // Thresholds are learned state: persist them across samples.
-        for (theta, neuron) in params.thetas.iter_mut().zip(&state.neurons) {
-            *theta = neuron.theta;
-        }
+        params.thetas.copy_from_slice(&state.theta);
         Ok(counts)
     }
 
@@ -1618,6 +1622,146 @@ mod tests {
             .effective_plane()
             .is_consistent_with(net.weights()));
         assert_eq!(net.params().effective_plane().row(3)[3], 0.0);
+    }
+
+    #[test]
+    fn lif_step_matches_the_lif_state_reference() {
+        // The SoA step (integrate lanes, commit firing, inhibit) against
+        // the per-neuron `LifState` semantics it replaced, bit for bit,
+        // under both WTA modes and every kernel.
+        use crate::neuron::LifState;
+        use rand::Rng;
+        let n = 13;
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &kernel in Kernel::available() {
+            for hard_wta in [false, true] {
+                let mut config = SnnConfig::for_neurons(n);
+                config.hard_wta = hard_wta;
+                let thetas: Vec<f32> = (0..n).map(|j| j as f32 * 0.3).collect();
+                let mut state = RunState::default();
+                state.begin_sample(&config, &thetas);
+                let mut neurons: Vec<LifState> = thetas
+                    .iter()
+                    .map(|&theta| LifState {
+                        v: config.lif.v_rest,
+                        theta,
+                        refractory_left: 0.0,
+                    })
+                    .collect();
+                let lif = &config.lif;
+                let mut rng = StdRng::seed_from_u64(3);
+                let (mut counts, mut expected_counts) = (vec![0u32; n], vec![0u32; n]);
+                for step in 0..80 {
+                    let drive: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() * 9.0).collect();
+                    state.drive.copy_from_slice(&drive);
+                    state.lif_step(&config, kernel, &mut counts);
+
+                    let mut fired = Vec::new();
+                    if hard_wta {
+                        let mut winner: Option<(usize, f32)> = None;
+                        for (j, neuron) in neurons.iter_mut().enumerate() {
+                            if neuron.integrate(lif, drive[j], config.dt_ms) {
+                                let margin = neuron.threshold_margin(lif);
+                                if winner.is_none_or(|(_, best)| margin > best) {
+                                    winner = Some((j, margin));
+                                }
+                            }
+                        }
+                        if let Some((j, _)) = winner {
+                            neurons[j].fire(lif);
+                            fired.push(j);
+                        }
+                    } else {
+                        for (j, neuron) in neurons.iter_mut().enumerate() {
+                            if neuron.step(lif, drive[j], config.dt_ms) {
+                                fired.push(j);
+                            }
+                        }
+                    }
+                    let strength = config.inhibition_mv * fired.len() as f32;
+                    for (j, neuron) in neurons.iter_mut().enumerate() {
+                        if !fired.is_empty() && !fired.contains(&j) {
+                            neuron.inhibit(lif, strength);
+                        }
+                    }
+                    for &j in &fired {
+                        expected_counts[j] += 1;
+                    }
+
+                    let what = format!("{kernel:?} hard_wta={hard_wta} step={step}");
+                    assert_eq!(state.last_fired(), &fired[..], "{what}");
+                    let field = |f: fn(&LifState) -> f32| neurons.iter().map(f).collect::<Vec<_>>();
+                    assert_eq!(bits(&state.v), bits(&field(|s| s.v)), "{what}");
+                    assert_eq!(bits(&state.theta), bits(&field(|s| s.theta)), "{what}");
+                    assert_eq!(
+                        bits(&state.refractory),
+                        bits(&field(|s| s.refractory_left)),
+                        "{what}"
+                    );
+                }
+                assert_eq!(counts, expected_counts);
+                assert!(
+                    counts.iter().sum::<u32>() > 0,
+                    "the drive must make neurons fire"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_refreshes_a_snapshot_in_place() {
+        let data = SynthDigits.generate(6, 3);
+        let mut net = small_net();
+        let mut snap = net.clone();
+        let weights_ptr = snap.weights().as_slice().as_ptr();
+        let plane_ptr = snap.params().effective_plane().row(0).as_ptr();
+        net.train_epoch(&data, 4);
+        // Not NaN: `==` below compares words, and NaN != NaN.
+        net.with_weights_mut(|w| w.set(3, 2, f32::INFINITY));
+        assert_ne!(snap, net);
+        snap.clone_from(&net);
+        assert_eq!(snap, net);
+        assert_eq!(
+            snap.weights().as_slice().as_ptr(),
+            weights_ptr,
+            "store reused"
+        );
+        assert_eq!(
+            snap.params().effective_plane().row(0).as_ptr(),
+            plane_ptr,
+            "plane reused"
+        );
+        assert_eq!(
+            snap.params().effective_plane(),
+            &EffectivePlane::build(snap.weights(), snap.config().clamp_reads)
+        );
+    }
+
+    #[test]
+    fn rebuild_plane_keeps_the_plane_buffer() {
+        // Training and injection re-derive the plane in place: no new
+        // plane allocation per epoch or per corruption, under either
+        // read rule.
+        for clamp in [true, false] {
+            let mut net = DiehlCookNetwork::new(
+                SnnConfig::for_neurons(20)
+                    .with_timesteps(30)
+                    .with_clamp_reads(clamp),
+            );
+            let ptr = net.params().effective_plane().row(0).as_ptr();
+            net.train_epoch(&SynthDigits.generate(4, 3), 4);
+            net.with_weights_mut(|w| {
+                w.set(0, 0, f32::INFINITY);
+                w.set(1, 2, -3.0);
+                for j in 0..20 {
+                    w.set(5, j, 0.0);
+                }
+            });
+            let plane = net.params().effective_plane();
+            assert_eq!(plane.row(0).as_ptr(), ptr, "clamp={clamp}");
+            assert!(plane.is_consistent_with(net.weights()), "clamp={clamp}");
+            assert!(!plane.row_live(5), "clamp={clamp}");
+        }
     }
 
     #[test]

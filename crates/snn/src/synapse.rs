@@ -20,12 +20,34 @@ use crate::kernels::Kernel;
 
 /// Dense input→neuron weight matrix, row-major by input line
 /// (`w[input * neurons + neuron]`) — the bit-exact image stored in DRAM.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `clone_from` reuses the destination's buffer, so a snapshot refreshed
+/// every step (fault-aware training, corrupt-and-swap scratches) copies
+/// words instead of reallocating the image.
+#[derive(Debug, PartialEq)]
 pub struct StoredWeights {
     inputs: usize,
     neurons: usize,
     w: Vec<f32>,
     w_max: f32,
+}
+
+impl Clone for StoredWeights {
+    fn clone(&self) -> Self {
+        Self {
+            inputs: self.inputs,
+            neurons: self.neurons,
+            w: self.w.clone(),
+            w_max: self.w_max,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.inputs = source.inputs;
+        self.neurons = source.neurons;
+        self.w.clone_from(&source.w);
+        self.w_max = source.w_max;
+    }
 }
 
 impl StoredWeights {
@@ -208,8 +230,10 @@ impl StoredWeights {
 /// weights, or after an error-injection pass rewrites part of the image —
 /// instead of re-clamping every stored word on every timestep of every
 /// sample. When a corruption touches a known set of rows, only those rows
-/// need rebuilding ([`rebuild_rows`](Self::rebuild_rows)).
-#[derive(Debug, Clone, PartialEq)]
+/// need rebuilding ([`rebuild_rows`](Self::rebuild_rows)). A whole-plane
+/// re-derivation ([`rebuild_all`](Self::rebuild_all)) and `clone_from`
+/// both reuse the existing buffers.
+#[derive(Debug, PartialEq)]
 pub struct EffectivePlane {
     inputs: usize,
     neurons: usize,
@@ -224,21 +248,56 @@ pub struct EffectivePlane {
     row_live: Vec<bool>,
 }
 
+impl Clone for EffectivePlane {
+    fn clone(&self) -> Self {
+        Self {
+            inputs: self.inputs,
+            neurons: self.neurons,
+            w_max: self.w_max,
+            clamp: self.clamp,
+            values: self.values.clone(),
+            row_live: self.row_live.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.inputs = source.inputs;
+        self.neurons = source.neurons;
+        self.w_max = source.w_max;
+        self.clamp = source.clamp;
+        self.values.clone_from(&source.values);
+        self.row_live.clone_from(&source.row_live);
+    }
+}
+
 impl EffectivePlane {
     /// Derives the plane from `stored` under the given read policy.
     pub fn build(stored: &StoredWeights, clamp_reads: bool) -> Self {
         let mut plane = Self {
-            inputs: stored.inputs,
-            neurons: stored.neurons,
+            inputs: 0,
+            neurons: 0,
             w_max: stored.w_max,
             clamp: clamp_reads,
-            values: vec![0.0; stored.w.len()],
-            row_live: vec![false; stored.inputs],
+            values: Vec::new(),
+            row_live: Vec::new(),
         };
-        for row in 0..stored.inputs {
-            plane.rebuild_row(stored, row);
-        }
+        plane.rebuild_all(stored);
         plane
+    }
+
+    /// Re-derives every row from `stored` under this plane's read policy,
+    /// in place: equal to [`build`](Self::build) with the same policy, but
+    /// the value and liveness buffers are reused instead of reallocated
+    /// (training re-derives the plane after every epoch and injection).
+    pub fn rebuild_all(&mut self, stored: &StoredWeights) {
+        self.inputs = stored.inputs;
+        self.neurons = stored.neurons;
+        self.w_max = stored.w_max;
+        self.values.resize(stored.w.len(), 0.0);
+        self.row_live.resize(stored.inputs, false);
+        for row in 0..stored.inputs {
+            self.rebuild_row(stored, row);
+        }
     }
 
     /// Derives a plane from per-word stored values produced by

@@ -1,7 +1,9 @@
 //! Spans-mode acceptance: one tiny pipeline run in `SPARKXD_TELEMETRY=spans`
 //! mode must produce a loadable Chrome trace-event file covering all
 //! seven pipeline stage spans plus at least one training-epoch span, one
-//! `WorkerPool` dispatch span and one DRAM replay span beneath them.
+//! fault-aware-training step evaluation (`fat.step_eval`, the evaluation
+//! that overlaps the next step's training), one `WorkerPool` dispatch span
+//! and one DRAM replay span beneath them.
 //!
 //! Single `#[test]` on purpose: the telemetry mode is process-global,
 //! like the engine knobs the sibling invariance suites pin.
@@ -59,6 +61,7 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
         "pipeline.operating_accuracy",
         "pipeline.energy",
         "snn.train_epoch",
+        "fat.step_eval",
         "pool.run",
         "dram.replay",
     ] {

@@ -7,6 +7,12 @@
 //! 1 worker or many, scalar (B = 1) or batched (any B), one drive tile
 //! or many, or the machine defaults.
 //!
+//! The same test also runs fault-aware training (`FaultAwareTrainer::
+//! improve`) on 1, 2 and 4 configured threads. With two or more, each BER
+//! step's evaluation overlaps the next step's training on a pool helper;
+//! with one, the steps run strictly in order. All three must agree bit
+//! for bit on the outcome and on the final weights and thresholds.
+//!
 //! This file holds a single `#[test]` on purpose: `SPARKXD_THREADS`,
 //! `SPARKXD_BATCH`, `SPARKXD_TILE`, `SPARKXD_KERNEL`, `SPARKXD_INTRA`
 //! and `SPARKXD_TELEMETRY` are process-global, and cargo runs the tests
@@ -14,6 +20,9 @@
 //! observe a half-way override.
 
 use sparkxd::core::pipeline::{PipelineConfig, PipelineOutcome, SparkXdPipeline};
+use sparkxd::core::{FaultAwareOutcome, FaultAwareTrainer, TrainingConfig};
+use sparkxd::data::{SynthDigits, SyntheticSource};
+use sparkxd::snn::{DiehlCookNetwork, SnnConfig};
 
 const THREADS_ENV: &str = "SPARKXD_THREADS";
 const BATCH_ENV: &str = "SPARKXD_BATCH";
@@ -79,8 +88,44 @@ fn run_with(
     outcome
 }
 
+/// Algorithm 1 on a tiny trained network under `threads` configured
+/// workers: the outcome plus the `to_bits` of the final weights and
+/// thresholds.
+fn improve_with(threads: &str, accuracy_bound: f64) -> (FaultAwareOutcome, Vec<u32>, Vec<u32>) {
+    std::env::set_var(THREADS_ENV, threads);
+    let train = SynthDigits.generate(40, 1);
+    let test = SynthDigits.generate(20, 2);
+    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(20).with_timesteps(20));
+    net.train_epoch(&train, 11);
+    let trainer = FaultAwareTrainer::new(TrainingConfig {
+        ber_schedule: vec![1e-5, 1e-4, 1e-3, 1e-2],
+        accuracy_bound,
+        eval_trials: 2,
+        ..TrainingConfig::paper_default()
+    });
+    let outcome = trainer.improve(&mut net, &train, &test).expect("improve");
+    std::env::remove_var(THREADS_ENV);
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (outcome, bits(net.weights().as_slice()), bits(net.thetas()))
+}
+
 #[test]
 fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
+    // Fault-aware training: overlapped (2, 4 threads) against strictly
+    // serial (1 thread). A bound of 1.0 lets the last step win (the
+    // trained network itself is the result); at 0.02 the first and last
+    // steps miss and the third displaces the second, so a snapshot wins.
+    for bound in [0.02, 1.0] {
+        let serial = improve_with("1", bound);
+        for threads in ["2", "4"] {
+            assert_eq!(
+                serial,
+                improve_with(threads, bound),
+                "improve on {threads} threads (bound {bound}) diverged from serial"
+            );
+        }
+    }
+
     // Scalar serial reference: 1 worker, batch size 1 (the pre-split
     // per-sample read path), default tiling, portable kernel, serial
     // sweep, telemetry off.
