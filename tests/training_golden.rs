@@ -12,6 +12,9 @@
 //! * that reduced N400 started from a planted-corrupt DRAM image
 //!   (NaN, ±Inf, −1, 1e30, −0.0, ±denormal, > `w_max`, and one all-NaN /
 //!   negative dead column) under `clamp_reads` × `hard_wta`;
+//! * the same planted image without its dead column, so the first
+//!   sample's normalisation scrubs every column: the first sample trains
+//!   on a dirty store and every later one on a clean store;
 //!
 //! plus the full `PipelineOutcome` of the tiny pipeline at fp32 and int8.
 //!
@@ -63,10 +66,17 @@ fn reduced_n400_data() -> Dataset {
 /// its effective sum is zero and normalisation leaves it alone.
 const DEAD_COLUMN: usize = 7;
 
-/// Trains the reduced N400 from a corrupted initial image.
+/// Trains the reduced N400 from a corrupted initial image with its dead
+/// column.
 fn planted_hash(clamp_reads: bool, hard_wta: bool) -> u64 {
     let mut config = reduced_n400().with_clamp_reads(clamp_reads);
     config.hard_wta = hard_wta;
+    planted_image_hash(config, true)
+}
+
+/// Trains `config` from the planted-corrupt initial image, with or without
+/// the dead column.
+fn planted_image_hash(config: SnnConfig, dead_column: bool) -> u64 {
     let mut net = DiehlCookNetwork::new(config);
     net.with_weights_mut(|w| {
         let n = w.neurons();
@@ -90,13 +100,23 @@ fn planted_hash(clamp_reads: bool, hard_wta: bool) -> u64 {
                 w.set(row, col, value);
             }
         }
-        for row in 0..w.inputs() {
-            let value = if row % 2 == 0 { f32::NAN } else { -0.5 };
-            w.set(row, DEAD_COLUMN, value);
+        if dead_column {
+            for row in 0..w.inputs() {
+                let value = if row % 2 == 0 { f32::NAN } else { -0.5 };
+                w.set(row, DEAD_COLUMN, value);
+            }
         }
     });
     net.train_epoch(&reduced_n400_data(), 0xC0FFEE);
     network_hash(&net)
+}
+
+#[test]
+fn planted_corrupt_n400_without_dead_column_is_pinned() {
+    assert_eq!(
+        planted_image_hash(reduced_n400(), false),
+        0x3380_3687_a162_40c1
+    );
 }
 
 /// The tiny pipeline `determinism.rs` runs (seconds, not minutes).
