@@ -11,7 +11,6 @@
 use crate::CoreError;
 use sparkxd_data::Dataset;
 use sparkxd_error::{ErrorModel, Injector};
-use sparkxd_snn::engine::join;
 use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, StoredWeights};
 
 /// Configuration of the fault-aware training loop.
@@ -159,14 +158,16 @@ impl FaultAwareTrainer {
     /// The rate steps train one after another (each adapts the weights
     /// the next step starts from), but a step's retraining never needs the
     /// previous step's accuracy. So the evaluations are pipelined behind
-    /// the training through [`join`]: while step k+1 trains on the calling
-    /// thread, a pool helper labels and measures a snapshot of the step-k
-    /// model (the baseline `model0` evaluation overlaps step 0). The last
-    /// step's evaluation and the final clean evaluation run afterwards on
-    /// the full thread budget. Every evaluation is a pure function of
-    /// (model, dataset, seed) with its own per-step injector, so the
-    /// outcome is bit-identical to running the steps strictly in order —
-    /// which is exactly what happens on one configured thread.
+    /// the training through [`DiehlCookNetwork::train_epoch_with`]: while
+    /// step k+1 trains on the calling thread, a pool helper labels and
+    /// measures a snapshot of the step-k model (the baseline `model0`
+    /// evaluation overlaps step 0), then encodes the rest of the epoch's
+    /// spike trains. The last step's evaluation and the final clean
+    /// evaluation run afterwards on the full thread budget. Every
+    /// evaluation is a pure function of (model, dataset, seed) with its
+    /// own per-step injector, so the outcome is bit-identical to running
+    /// the steps strictly in order — which is exactly what happens on one
+    /// configured thread.
     ///
     /// Snapshots are recycled through the buffer-reusing `clone_from`:
     /// at most three are live (one under evaluation, the best so far and
@@ -201,13 +202,10 @@ impl FaultAwareTrainer {
                 }
                 None => net.clone(),
             };
-            let ((), (labeler, accuracy)) = join(
-                || self.adapt(net, &mut injector, train, step, ber),
-                || {
-                    let _span = sparkxd_telemetry::span!("fat.step_eval");
-                    self.measure(&mut snapshot, &mut scratch, train, test, pending)
-                },
-            );
+            let (labeler, accuracy) = self.adapt(net, &mut injector, train, step, ber, || {
+                let _span = sparkxd_telemetry::span!("fat.step_eval");
+                self.measure(&mut snapshot, &mut scratch, train, test, pending)
+            });
             spare = tally.record(pending, accuracy, labeler, Some(snapshot));
             pending = Checkpoint::Step { index: step, ber };
         }
@@ -242,20 +240,31 @@ impl FaultAwareTrainer {
     }
 
     /// Algorithm 1 lines 3-4 for one rate step: generate and inject errors
-    /// into the model, then train with them in place.
-    fn adapt(
+    /// into the model, then train with them in place. `side` (the previous
+    /// checkpoint's evaluation) runs on the pool helper during the first
+    /// epoch, through [`DiehlCookNetwork::train_epoch_with`]; with no
+    /// epochs scheduled it runs after the injection. Returns its result.
+    #[allow(clippy::too_many_arguments)]
+    fn adapt<R: Send>(
         &self,
         net: &mut DiehlCookNetwork,
         injector: &mut Injector,
         train: &Dataset,
         step: usize,
         ber: f64,
-    ) {
+        side: impl FnOnce() -> R + Send,
+    ) -> R {
         let cfg = &self.config;
+        let seed = |epoch: usize| cfg.spike_seed ^ ((step * 31 + epoch) as u64);
         net.with_weights_mut(|w| injector.inject_uniform(w.as_mut_slice(), ber));
-        for epoch in 0..cfg.epochs_per_rate {
-            net.train_epoch(train, cfg.spike_seed ^ ((step * 31 + epoch) as u64));
+        if cfg.epochs_per_rate == 0 {
+            return side();
         }
+        let (_, out) = net.train_epoch_with(train, seed(0), side);
+        for epoch in 1..cfg.epochs_per_rate {
+            net.train_epoch(train, seed(epoch));
+        }
+        out
     }
 
     /// Labels `model` and measures its accuracy at checkpoint `at`:
@@ -382,6 +391,27 @@ mod tests {
         let trainer = FaultAwareTrainer::new(cfg);
         let out = trainer.improve(&mut net, &train, &test).unwrap();
         assert_eq!(out.max_tolerable_ber, None);
+    }
+
+    #[test]
+    fn improve_without_retraining_still_evaluates_every_step() {
+        let train = SynthDigits.generate(40, 1);
+        let test = SynthDigits.generate(20, 2);
+        let mut net = trained_net(20, &train);
+        let before = net.weights().clone();
+        let cfg = TrainingConfig {
+            epochs_per_rate: 0,
+            accuracy_bound: 1.0,
+            ..TrainingConfig::quick()
+        };
+        let out = FaultAwareTrainer::new(cfg.clone())
+            .improve(&mut net, &train, &test)
+            .unwrap();
+        let rates: Vec<f64> = out.curve.iter().map(|&(ber, _)| ber).collect();
+        assert_eq!(rates, cfg.ber_schedule);
+        assert!(out.curve.iter().all(|&(_, acc)| (0.0..=1.0).contains(&acc)));
+        assert!(out.baseline_accuracy > 0.0, "the baseline was measured");
+        assert_ne!(net.weights(), &before, "the last step's injection stays");
     }
 
     #[test]

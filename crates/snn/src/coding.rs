@@ -88,18 +88,45 @@ impl PoissonEncoder {
         rng: &mut StdRng,
         active: &mut Vec<usize>,
     ) {
-        use rand::RngCore;
         active.clear();
-        active.resize(plan.len(), 0);
-        let mut local = rng.clone();
-        let mut len = 0;
-        for &(i, threshold) in plan {
-            active[len] = i as usize;
-            len += usize::from((local.next_u32() >> 8) < threshold);
-        }
-        active.truncate(len);
-        *rng = local;
+        draw_planned(plan, rng, active, |i| i as usize);
     }
+
+    /// [`encode_planned_step`](Self::encode_planned_step) that *appends*
+    /// the step's firing input lines to `active` as `u32`s, so a whole
+    /// presentation can be encoded into one flat buffer ahead of training.
+    /// Draws exactly the same RNG sequence.
+    pub(crate) fn encode_planned_append(
+        &self,
+        plan: &[(u32, u32)],
+        rng: &mut StdRng,
+        active: &mut Vec<u32>,
+    ) {
+        draw_planned(plan, rng, active, |i| i);
+    }
+}
+
+/// The branch-free draw loop of the planned encoder: one `next_u32` per
+/// plan entry, each entry written to the next free slot past `out`'s
+/// current end and kept when its draw falls under the threshold.
+#[inline(always)]
+fn draw_planned<T: Copy + Default>(
+    plan: &[(u32, u32)],
+    rng: &mut StdRng,
+    out: &mut Vec<T>,
+    index: impl Fn(u32) -> T,
+) {
+    use rand::RngCore;
+    let start = out.len();
+    out.resize(start + plan.len(), T::default());
+    let mut local = rng.clone();
+    let mut len = start;
+    for &(i, threshold) in plan {
+        out[len] = index(i);
+        len += usize::from((local.next_u32() >> 8) < threshold);
+    }
+    out.truncate(len);
+    *rng = local;
 }
 
 impl Default for PoissonEncoder {
@@ -178,6 +205,27 @@ mod tests {
             assert_eq!(direct, planned, "step {step}");
         }
         assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "generator written back");
+    }
+
+    #[test]
+    fn appending_encoder_matches_the_step_encoder() {
+        use rand::RngCore;
+        let e = PoissonEncoder::standard();
+        let pixels: Vec<f32> = (0..300).map(|i| (i % 7) as f32 / 6.0).collect();
+        let mut plan = Vec::new();
+        e.plan(&pixels, &mut plan);
+        let mut rng_a = StdRng::seed_from_u64(31);
+        let mut rng_b = StdRng::seed_from_u64(31);
+        let (mut step, mut flat) = (Vec::new(), vec![7u32]);
+        for _ in 0..50 {
+            let start = flat.len();
+            e.encode_planned_step(&plan, &mut rng_a, &mut step);
+            e.encode_planned_append(&plan, &mut rng_b, &mut flat);
+            let appended: Vec<usize> = flat[start..].iter().map(|&i| i as usize).collect();
+            assert_eq!(appended, step);
+        }
+        assert_eq!(flat[0], 7, "earlier entries kept");
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     }
 
     #[test]

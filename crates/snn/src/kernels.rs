@@ -4,10 +4,44 @@
 //! * inference: member-row drive accumulation (both the `clamp_reads`
 //!   effective-weight transform and the finite-filter path), the
 //!   branch-free LIF lane update, and the lateral-inhibition sweep;
-//! * training (`DiehlCookNetwork::train_sample`): the fused depression +
-//!   drive row pass ([`Kernel::depress_accumulate`]) and the two sweeps of
+//! * training (`DiehlCookNetwork::train_epoch`): the fused depression +
+//!   drive row pass ([`Kernel::depress_accumulate`]), the potentiation
+//!   column walk ([`Kernel::potentiate_column`]) and the two sweeps of
 //!   column normalisation ([`Kernel::accumulate_effective`] for the column
-//!   sums, [`Kernel::rescale_effective`] for the scale pass).
+//!   sums, [`Kernel::rescale_effective`] for the scale pass), each with a
+//!   clean-store variant (see below).
+//!
+//! # Clean-store training kernels
+//!
+//! Every generic training pass reads each stored word through the synapse
+//! read rule [`StoredWeights::effective`] (non-finite → 0, else clamped
+//! into `[0, w_max]`), because fault-aware training starts from a
+//! corrupted image. A store is *clean* when every word satisfies
+//! `w >= 0.0 && w <= w_max`: such a word is finite, and the read rule
+//! returns it bit for bit (`-0.0` included, since `-0.0 < 0.0` is false).
+//! So on a clean store the read rule can be dropped without changing a
+//! bit: [`Kernel::depress_accumulate_clean`], [`Kernel::accumulate_clean`],
+//! [`Kernel::rescale_clean`] and [`Kernel::potentiate_column_clean`] are
+//! the generic passes with the read rule replaced by the identity (and
+//! the rescale pass without its dead-column select, which it may only
+//! skip when no scale is NaN).
+//!
+//! A clean store stays clean: depression, potentiation and rescaling all
+//! clamp their finite results into `[0, w_max]`, and a dead column keeps
+//! words that were already clean. A dirty store (after an error injection)
+//! becomes clean after its first normalisation with no dead column, which
+//! rewrites every word into range. Training tracks this with one flag per
+//! epoch — one scan when the epoch starts, updated after each
+//! normalisation — and falls back to the generic passes whenever it is not
+//! known clean. The generic kernels stay as that dirty-store path and as
+//! the reference the clean ones are tested against.
+//!
+//! Poisson encoding, the other per-sample cost, runs ahead of training on
+//! a pool helper (the `feed` module): a bounded ring of pre-encoded spike
+//! trains, one encoder cursor behind a lock so the epoch RNG is drawn in
+//! dataset order, and an inline fallback — when the trainer's sample is
+//! not ready and the cursor is free, the trainer encodes it itself, so a
+//! single configured thread or a busy helper never stalls training.
 //!
 //! # Dispatch
 //!
@@ -45,7 +79,7 @@
 //!   the accumulator's bits) instead of adding a masked zero, matching
 //!   the scalar `if w.is_finite()` exactly even for `-0.0` accumulators;
 //! * remainder lanes (`n % 8 != 0`) run the portable kernel itself;
-//! * the two training entry points have no hand-written intrinsics: their
+//! * the training entry points have no hand-written intrinsics: their
 //!   AVX2 arm is the portable body recompiled under
 //!   `#[target_feature(enable = "avx2")]`. That is exact too, because
 //!   rustc never contracts a multiply and an add into an FMA and never
@@ -62,7 +96,11 @@
 //! alignment.
 
 use crate::neuron::LifConfig;
+use crate::stdp::StdpConfig;
 use crate::synapse::StoredWeights;
+
+/// How many inputs ahead the potentiation column walk prefetches.
+const PREFETCH_ROWS: usize = 16;
 
 /// A kernel *request*: what the caller asked for, before runtime feature
 /// detection. Parsed from `SPARKXD_KERNEL` (`auto` | `scalar` | `avx2`)
@@ -262,6 +300,37 @@ impl Kernel {
         w_max: f32,
         drive: &mut [f32],
     ) {
+        self.depress::<false>(row, trace_post, lr, w_max, drive);
+    }
+
+    /// [`depress_accumulate`](Self::depress_accumulate) on a *clean* row
+    /// (every word `w >= 0.0 && w <= w_max`, where the read rule is the
+    /// identity): `w' = (w - lr * trace_post[j]).clamp(0.0, w_max)`.
+    /// Bit-identical to the generic pass on a clean row; on any other row
+    /// the result is unspecified.
+    ///
+    /// # Panics
+    ///
+    /// As [`depress_accumulate`](Self::depress_accumulate).
+    pub fn depress_accumulate_clean(
+        self,
+        row: &mut [f32],
+        trace_post: &[f32],
+        lr: f32,
+        w_max: f32,
+        drive: &mut [f32],
+    ) {
+        self.depress::<true>(row, trace_post, lr, w_max, drive);
+    }
+
+    fn depress<const CLEAN: bool>(
+        self,
+        row: &mut [f32],
+        trace_post: &[f32],
+        lr: f32,
+        w_max: f32,
+        drive: &mut [f32],
+    ) {
         assert!(
             trace_post.len() == row.len() && drive.len() == row.len(),
             "depression row, post traces and drive must have matching lengths"
@@ -269,10 +338,29 @@ impl Kernel {
         #[cfg(target_arch = "x86_64")]
         if self.run_avx2() {
             // SAFETY: AVX2 presence verified at runtime just above.
-            unsafe { avx2::depress_accumulate(row, trace_post, lr, w_max, drive) };
+            unsafe { avx2::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive) };
             return;
         }
-        scalar::depress_accumulate(row, trace_post, lr, w_max, drive);
+        scalar::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive);
+    }
+
+    /// The column-sum pass of normalisation over one *clean* row:
+    /// `sums[j] += row[j]`. Bit-identical to
+    /// [`accumulate_effective`](Self::accumulate_effective) on a clean
+    /// row, where the read rule is the identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums` and `row` have different lengths.
+    pub fn accumulate_clean(self, sums: &mut [f32], row: &[f32]) {
+        assert_eq!(sums.len(), row.len(), "sums and row must match");
+        #[cfg(target_arch = "x86_64")]
+        if self.run_avx2() {
+            // SAFETY: AVX2 presence verified at runtime just above.
+            unsafe { avx2::accumulate_clean(sums, row) };
+            return;
+        }
+        scalar::accumulate_clean(sums, row);
     }
 
     /// The scale pass of column normalisation over one row:
@@ -285,14 +373,98 @@ impl Kernel {
     ///
     /// Panics if `row` and `scales` have different lengths.
     pub fn rescale_effective(self, row: &mut [f32], scales: &[f32], w_max: f32) {
+        self.rescale::<false>(row, scales, w_max);
+    }
+
+    /// The scale pass on a *clean* row when no column is dead:
+    /// `row[j] = (row[j] * scales[j]).clamp(0.0, w_max)`, without the read
+    /// rule or the dead-column select. Bit-identical to
+    /// [`rescale_effective`](Self::rescale_effective) when every word of
+    /// `row` is clean and no scale is NaN.
+    ///
+    /// # Panics
+    ///
+    /// As [`rescale_effective`](Self::rescale_effective).
+    pub fn rescale_clean(self, row: &mut [f32], scales: &[f32], w_max: f32) {
+        self.rescale::<true>(row, scales, w_max);
+    }
+
+    fn rescale<const CLEAN: bool>(self, row: &mut [f32], scales: &[f32], w_max: f32) {
         assert_eq!(row.len(), scales.len(), "row and scales must match");
         #[cfg(target_arch = "x86_64")]
         if self.run_avx2() {
             // SAFETY: AVX2 presence verified at runtime just above.
-            unsafe { avx2::rescale_effective(row, scales, w_max) };
+            unsafe { avx2::rescale::<CLEAN>(row, scales, w_max) };
             return;
         }
-        scalar::rescale_effective(row, scales, w_max);
+        scalar::rescale::<CLEAN>(row, scales, w_max);
+    }
+
+    /// STDP potentiation of one firing neuron's input column: walks
+    /// `weights[i * neurons + column]` down the row-major store and
+    /// rewrites each word to
+    /// `(e + lr * (trace_pre[i] - x_target) * (w_max - e)).clamp(0.0, w_max)`
+    /// with `e = StoredWeights::effective(w, w_max)`, `lr` and `x_target`
+    /// taken from `stdp`. The walk hints the word a few inputs ahead into
+    /// cache, since consecutive words are `neurons` apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `column >= neurons` or the walk of `trace_pre.len()` rows
+    /// leaves `weights`.
+    pub fn potentiate_column(
+        self,
+        weights: &mut [f32],
+        neurons: usize,
+        column: usize,
+        trace_pre: &[f32],
+        stdp: &StdpConfig,
+        w_max: f32,
+    ) {
+        self.potentiate::<false>(weights, neurons, column, trace_pre, stdp, w_max);
+    }
+
+    /// [`potentiate_column`](Self::potentiate_column) on a *clean* column
+    /// (`e = w`, no read rule). Bit-identical to the generic walk when
+    /// every word of the column is clean.
+    ///
+    /// # Panics
+    ///
+    /// As [`potentiate_column`](Self::potentiate_column).
+    pub fn potentiate_column_clean(
+        self,
+        weights: &mut [f32],
+        neurons: usize,
+        column: usize,
+        trace_pre: &[f32],
+        stdp: &StdpConfig,
+        w_max: f32,
+    ) {
+        self.potentiate::<true>(weights, neurons, column, trace_pre, stdp, w_max);
+    }
+
+    fn potentiate<const CLEAN: bool>(
+        self,
+        weights: &mut [f32],
+        neurons: usize,
+        column: usize,
+        trace_pre: &[f32],
+        stdp: &StdpConfig,
+        w_max: f32,
+    ) {
+        assert!(
+            column < neurons,
+            "column {column} out of range ({neurons} neurons)"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if self.run_avx2() {
+            // SAFETY: AVX2 presence verified at runtime just above.
+            unsafe {
+                avx2::potentiate_column::<CLEAN>(weights, neurons, column, trace_pre, stdp, w_max)
+            };
+            return;
+        }
+        scalar::potentiate_column::<CLEAN>(weights, neurons, column, trace_pre, stdp, w_max);
     }
 
     /// Advances one sample's SoA membrane lanes by one timestep: decays
@@ -425,7 +597,7 @@ fn check_member_bounds(
 /// *are* the reference semantics; the AVX2 module reproduces them lane
 /// for lane.
 mod scalar {
-    use super::{LifConfig, StoredWeights};
+    use super::{LifConfig, StdpConfig, StoredWeights, PREFETCH_ROWS};
 
     pub(super) fn accumulate_members(
         drive: &mut [f32],
@@ -479,11 +651,24 @@ mod scalar {
         }
     }
 
-    // The two training passes below are `inline(always)` so the AVX2
-    // module can recompile the very same body under `target_feature`.
+    // The training passes below are `inline(always)` so the AVX2 module
+    // can recompile the very same body under `target_feature`. Each is
+    // generic over `CLEAN`: the generic pass (`false`) reads every word
+    // through `StoredWeights::effective`; the clean pass (`true`) reads it
+    // raw, which is the same value bit for bit when the word is clean.
+
+    /// The read rule of a training pass: identity on a clean store.
+    #[inline(always)]
+    fn read<const CLEAN: bool>(w: f32, w_max: f32) -> f32 {
+        if CLEAN {
+            w
+        } else {
+            StoredWeights::effective(w, w_max)
+        }
+    }
 
     #[inline(always)]
-    pub(super) fn depress_accumulate(
+    pub(super) fn depress_accumulate<const CLEAN: bool>(
         row: &mut [f32],
         trace_post: &[f32],
         lr: f32,
@@ -491,17 +676,47 @@ mod scalar {
         drive: &mut [f32],
     ) {
         for ((w, &post), d) in row.iter_mut().zip(trace_post).zip(drive.iter_mut()) {
-            let depressed = (StoredWeights::effective(*w, w_max) - lr * post).clamp(0.0, w_max);
+            let depressed = (read::<CLEAN>(*w, w_max) - lr * post).clamp(0.0, w_max);
             *w = depressed;
             *d += depressed;
         }
     }
 
     #[inline(always)]
-    pub(super) fn rescale_effective(row: &mut [f32], scales: &[f32], w_max: f32) {
+    pub(super) fn accumulate_clean(sums: &mut [f32], row: &[f32]) {
+        for (s, &w) in sums.iter_mut().zip(row) {
+            *s += w;
+        }
+    }
+
+    /// The clean pass also drops the dead-column select: it only runs
+    /// when no scale is NaN.
+    #[inline(always)]
+    pub(super) fn rescale<const CLEAN: bool>(row: &mut [f32], scales: &[f32], w_max: f32) {
         for (w, &scale) in row.iter_mut().zip(scales) {
-            let scaled = (StoredWeights::effective(*w, w_max) * scale).clamp(0.0, w_max);
-            *w = if scale.is_nan() { *w } else { scaled };
+            let scaled = (read::<CLEAN>(*w, w_max) * scale).clamp(0.0, w_max);
+            *w = if CLEAN || !scale.is_nan() { scaled } else { *w };
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn potentiate_column<const CLEAN: bool>(
+        weights: &mut [f32],
+        neurons: usize,
+        column: usize,
+        trace_pre: &[f32],
+        stdp: &StdpConfig,
+        w_max: f32,
+    ) {
+        let (lr, x_target) = (stdp.lr_potentiate, stdp.x_target);
+        for (i, &pre) in trace_pre.iter().enumerate() {
+            let ahead = (i + PREFETCH_ROWS) * neurons + column;
+            if let Some(next) = weights.get(ahead..=ahead) {
+                super::prefetch_lanes(next);
+            }
+            let w = &mut weights[i * neurons + column];
+            let e = read::<CLEAN>(*w, w_max);
+            *w = (e + lr * (pre - x_target) * (w_max - e)).clamp(0.0, w_max);
         }
     }
 
@@ -563,7 +778,7 @@ mod scalar {
 /// the bit-identity argument.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scalar, LifConfig};
+    use super::{scalar, LifConfig, StdpConfig};
     use std::arch::x86_64::{
         __m128i, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256, _mm256_andnot_ps,
         _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128,
@@ -680,7 +895,7 @@ mod avx2 {
         scalar::accumulate_finite(&mut drive[c..], &row[c..]);
     }
 
-    /// The portable body recompiled with AVX2 enabled: lanewise IEEE ops
+    /// The portable bodies recompiled with AVX2 enabled: lanewise IEEE ops
     /// only (rustc never contracts to FMA or reassociates), so the wide
     /// code computes the scalar sequence exactly.
     ///
@@ -688,25 +903,51 @@ mod avx2 {
     ///
     /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn depress_accumulate(
+    pub(super) unsafe fn depress_accumulate<const CLEAN: bool>(
         row: &mut [f32],
         trace_post: &[f32],
         lr: f32,
         w_max: f32,
         drive: &mut [f32],
     ) {
-        scalar::depress_accumulate(row, trace_post, lr, w_max, drive);
+        scalar::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive);
     }
 
-    /// The portable body recompiled with AVX2 enabled (see
-    /// [`depress_accumulate`]).
+    /// See [`depress_accumulate`].
     ///
     /// # Safety
     ///
     /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rescale_effective(row: &mut [f32], scales: &[f32], w_max: f32) {
-        scalar::rescale_effective(row, scales, w_max);
+    pub(super) unsafe fn accumulate_clean(sums: &mut [f32], row: &[f32]) {
+        scalar::accumulate_clean(sums, row);
+    }
+
+    /// See [`depress_accumulate`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rescale<const CLEAN: bool>(row: &mut [f32], scales: &[f32], w_max: f32) {
+        scalar::rescale::<CLEAN>(row, scales, w_max);
+    }
+
+    /// See [`depress_accumulate`].
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn potentiate_column<const CLEAN: bool>(
+        weights: &mut [f32],
+        neurons: usize,
+        column: usize,
+        trace_pre: &[f32],
+        stdp: &StdpConfig,
+        w_max: f32,
+    ) {
+        scalar::potentiate_column::<CLEAN>(weights, neurons, column, trace_pre, stdp, w_max);
     }
 
     /// # Safety

@@ -52,6 +52,7 @@
 pub mod coding;
 pub mod engine;
 pub mod eval;
+mod feed;
 pub mod kernels;
 pub mod network;
 pub mod neuron;

@@ -40,20 +40,24 @@
 //! read are one fused kernel row pass, the LIF integrate/fire/inhibit
 //! step runs on the same SoA lanes and kernels as `run_batch`, and column
 //! normalisation runs through the kernels, with results bit-identical to
-//! the plain per-access loop.
+//! the plain per-access loop. While the stored weights are clean, the
+//! STDP passes run the kernels' clean-store variants, and an epoch's
+//! Poisson encoding runs ahead on a pool helper (see
+//! [`DiehlCookNetwork::train_epoch`]); neither changes a bit.
 
 use crate::coding::PoissonEncoder;
 use crate::engine::{BatchEvaluator, IntraChoice};
 use crate::eval::NeuronLabeler;
+use crate::feed::{CloseOnDrop, Feed, SpikeTrain};
 use crate::kernels::{Kernel, KernelChoice, LifLanes};
 use crate::neuron::LifConfig;
 use crate::stdp::{StdpConfig, StdpState};
 use crate::synapse::{EffectivePlane, StoredWeights};
 use crate::SnnError;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sparkxd_data::Dataset;
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 /// Complete configuration of a [`DiehlCookNetwork`].
 #[derive(Debug, Clone, PartialEq)]
@@ -278,12 +282,7 @@ impl NetworkParams {
         pixels: &[f32],
         rng: &mut StdRng,
     ) -> Result<Vec<u32>, SnnError> {
-        if pixels.len() != self.config.n_inputs {
-            return Err(SnnError::InputSizeMismatch {
-                provided: pixels.len(),
-                expected: self.config.n_inputs,
-            });
-        }
+        check_input_size(&self.config, pixels)?;
         let mut counts = vec![0u32; self.config.n_neurons];
         state.begin_sample(&self.config, &self.thetas);
         let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
@@ -351,12 +350,7 @@ impl NetworkParams {
     ) -> Result<Vec<Vec<u32>>, SnnError> {
         assert_eq!(samples.len(), rngs.len(), "one RNG stream per sample");
         for pixels in samples {
-            if pixels.len() != self.config.n_inputs {
-                return Err(SnnError::InputSizeMismatch {
-                    provided: pixels.len(),
-                    expected: self.config.n_inputs,
-                });
-            }
+            check_input_size(&self.config, pixels)?;
         }
         let b_count = samples.len();
         let n = self.config.n_neurons;
@@ -759,6 +753,77 @@ fn inhibit_slab(config: &SnnConfig, kernel: Kernel, v: &mut [f32], fired: &[usiz
     kernel.inhibit_lanes(&mut v[start..], strength, floor);
 }
 
+/// [`SnnError::InputSizeMismatch`] unless `pixels` has one value per
+/// configured input.
+fn check_input_size(config: &SnnConfig, pixels: &[f32]) -> Result<(), SnnError> {
+    if pixels.len() == config.n_inputs {
+        Ok(())
+    } else {
+        Err(SnnError::InputSizeMismatch {
+            provided: pixels.len(),
+            expected: config.n_inputs,
+        })
+    }
+}
+
+/// What one training epoch observed, for its telemetry.
+#[derive(Debug, Default)]
+struct EpochStats {
+    /// Excitatory spikes over every sample.
+    spikes: u64,
+    /// Samples that started on a clean store (the clean kernels).
+    clean_samples: usize,
+    /// Samples the trainer encoded itself.
+    inline_encodes: usize,
+    /// Per-phase wall time (spans mode only).
+    phases: PhaseTimes,
+}
+
+/// Wall time per training phase, summed over an epoch's samples and
+/// recorded as counters once per epoch (spans mode only).
+#[derive(Debug, Default)]
+struct PhaseTimes {
+    encode_wait: Duration,
+    decay: Duration,
+    depress: Duration,
+    lif: Duration,
+    potentiate: Duration,
+    normalise: Duration,
+}
+
+impl PhaseTimes {
+    fn record(&self) {
+        use sparkxd_telemetry::counter_add;
+        counter_add!(
+            "snn.train_phase_encode_wait_ns",
+            self.encode_wait.as_nanos()
+        );
+        counter_add!("snn.train_phase_decay_ns", self.decay.as_nanos());
+        counter_add!("snn.train_phase_depress_ns", self.depress.as_nanos());
+        counter_add!("snn.train_phase_lif_ns", self.lif.as_nanos());
+        counter_add!("snn.train_phase_potentiate_ns", self.potentiate.as_nanos());
+        counter_add!("snn.train_phase_normalise_ns", self.normalise.as_nanos());
+    }
+}
+
+/// A running phase timer over one sample: the accumulators and when the
+/// current phase began.
+struct PhaseClock<'a> {
+    times: &'a mut PhaseTimes,
+    since: Instant,
+}
+
+/// Charges the time since the last lap to one phase and starts the next;
+/// a no-op when phase timing is off (`clock` is `None`).
+#[inline]
+fn lap(clock: &mut Option<PhaseClock<'_>>, phase: impl FnOnce(&mut PhaseTimes) -> &mut Duration) {
+    if let Some(clock) = clock {
+        let now = Instant::now();
+        *phase(clock.times) += now - clock.since;
+        clock.since = now;
+    }
+}
+
 /// Per-run mutable scratch of one simulation worker: SoA membrane lanes,
 /// synaptic drive and spike buffers. Reused across samples — every buffer
 /// is reset by `begin_sample` — so the hot loop allocates nothing.
@@ -781,16 +846,22 @@ pub struct RunState {
     drive: Vec<f32>,
     /// Threshold-crossing mask of the current timestep.
     crossed: Vec<bool>,
-    /// Input lines that spiked this timestep.
+    /// Input lines that spiked this timestep (inference; training reads
+    /// its pre-encoded `train`).
     active: Vec<usize>,
-    /// The training sample's precomputed spike plan (non-zero pixels +
-    /// thresholds); the inference path encodes directly.
-    plan: Vec<(u32, u32)>,
     /// Neurons that fired this timestep (sorted ascending).
     fired: Vec<usize>,
     /// Pinned kernel; `None` resolves from `SPARKXD_KERNEL` /
     /// auto-detection on every [`NetworkParams::run_sample`] call.
     kernel: Option<Kernel>,
+    /// The training sample's spike train, encoded ahead of training.
+    train: SpikeTrain,
+    /// Training only: the stored weights are known clean (every word in
+    /// `[0, w_max]`), so the STDP passes run the clean kernels. Set by a
+    /// scan when training starts, updated after each normalisation.
+    clean: bool,
+    /// Training only: normalisation's per-column sums and scales.
+    norm: Vec<f32>,
 }
 
 impl RunState {
@@ -1143,62 +1214,78 @@ impl DiehlCookNetwork {
             let mut state = RunState::for_params(&self.params);
             return self.params.run_sample(&mut state, pixels, rng);
         }
-        let mut state = RunState::default();
-        let counts = self.train_sample(&mut state, pixels, rng)?;
+        let config = &self.params.config;
+        check_input_size(config, pixels)?;
+        let mut state = RunState {
+            clean: self.params.weights.is_clean(),
+            ..RunState::default()
+        };
+        state.train.encode(
+            &config.encoder,
+            pixels,
+            config.timesteps,
+            rng,
+            &mut Vec::new(),
+        );
+        let counts = self.train_sample(&mut state, None);
         self.params.rebuild_plane();
         Ok(counts)
     }
 
-    /// Training-mode presentation of one sample, reusing `state` scratch.
+    /// Training-mode presentation of the spike train in `state.train`,
+    /// reusing `state` scratch; `phases` accumulates per-phase wall time
+    /// when given.
     ///
-    /// Mutates the stored weights directly and leaves the effective plane
-    /// stale — callers must finish with `params.rebuild_plane()` before
-    /// the parameters are read again.
-    fn train_sample(
-        &mut self,
-        state: &mut RunState,
-        pixels: &[f32],
-        rng: &mut StdRng,
-    ) -> Result<Vec<u32>, SnnError> {
+    /// The STDP passes run the clean kernels while `state.clean` holds,
+    /// and normalisation updates the flag. Mutates the stored weights
+    /// directly and leaves the effective plane stale — callers must
+    /// finish with `params.rebuild_plane()` before the parameters are
+    /// read again.
+    fn train_sample(&mut self, state: &mut RunState, phases: Option<&mut PhaseTimes>) -> Vec<u32> {
         let Self { params, stdp } = self;
-        if pixels.len() != params.config.n_inputs {
-            return Err(SnnError::InputSizeMismatch {
-                provided: pixels.len(),
-                expected: params.config.n_inputs,
-            });
-        }
         let config = &params.config;
         let weights = &mut params.weights;
         let mut counts = vec![0u32; config.n_neurons];
         state.begin_sample(config, &params.thetas);
         let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
-        // The planned encoder draws the same RNG sequence as `encode_step`
-        // (see `PoissonEncoder::plan`), so spike trains are unchanged.
-        config.encoder.plan(pixels, &mut state.plan);
-        for _ in 0..config.timesteps {
-            config
-                .encoder
-                .encode_planned_step(&state.plan, rng, &mut state.active);
+        let clean = state.clean;
+        let mut clock = phases.map(|times| PhaseClock {
+            times,
+            since: Instant::now(),
+        });
+        for t in 0..config.timesteps {
             stdp.decay(config.dt_ms);
+            lap(&mut clock, |p| &mut p.decay);
             // Depression and the drive read are one fused row pass: each
             // active row is rewritten into `[0, w_max]` and added into the
             // drive while hot, exactly the sums `accumulate_drive` would
             // produce from the rewritten rows under either read rule.
             state.drive.fill(0.0);
-            stdp.on_pre_spikes(weights, &state.active, &mut state.drive, kernel);
+            stdp.on_pre_spikes(
+                weights,
+                state.train.step(t),
+                &mut state.drive,
+                kernel,
+                clean,
+            );
+            lap(&mut clock, |p| &mut p.depress);
             // Integrate, fire and inhibit on the SoA lanes. Inhibition
             // only lowers non-firing membranes, which potentiation never
             // reads, so it may run before the post-spike update.
             state.lif_step(config, kernel, &mut counts);
+            lap(&mut clock, |p| &mut p.lif);
             if !state.fired.is_empty() {
-                stdp.on_post_spikes(weights, &state.fired);
+                stdp.on_post_spikes(weights, &state.fired, kernel, clean);
+                lap(&mut clock, |p| &mut p.potentiate);
             }
         }
-        weights.normalize_columns(config.norm_target, kernel);
+        state.clean =
+            weights.normalize_columns_with(config.norm_target, kernel, clean, &mut state.norm);
+        lap(&mut clock, |p| &mut p.normalise);
         stdp.reset();
         // Thresholds are learned state: persist them across samples.
         params.thetas.copy_from_slice(&state.theta);
-        Ok(counts)
+        counts
     }
 
     /// Trains on every sample of `dataset` once (one epoch), with spike
@@ -1207,30 +1294,109 @@ impl DiehlCookNetwork {
     ///
     /// Training is inherently sequential (STDP updates feed forward into
     /// the next sample), so this threads one RNG through the epoch exactly
-    /// as previous revisions did. The effective plane is re-derived once
-    /// at the end of the epoch (training itself reads the store directly).
-    /// Telemetry records one `snn.train_epoch` span and adds the sample
-    /// count to `snn.train_samples`, once per epoch.
+    /// as previous revisions did. Two things shorten the serial path
+    /// without changing a bit:
+    ///
+    /// * Poisson encoding runs ahead on one pool helper (claimed like
+    ///   [`engine::join`](crate::engine::join) claims one), into a bounded
+    ///   ring the caller trains from; when a sample is not ready and the
+    ///   encoder is free, the caller encodes it itself. With no helper to
+    ///   spare (`SPARKXD_THREADS=1`) every sample is encoded inline.
+    /// * While the stored weights are clean (every word in `[0, w_max]`,
+    ///   checked by one scan here and tracked through each
+    ///   normalisation), the STDP passes skip the synapse read rule,
+    ///   which is the identity on such a store.
+    ///
+    /// The effective plane is re-derived once at the end of the epoch
+    /// (training itself reads the store directly). Telemetry records one
+    /// `snn.train_epoch` span and, once per epoch, adds the sample count
+    /// to `snn.train_samples`, the clean-store samples to
+    /// `snn.train_clean_samples` and the samples the caller encoded
+    /// itself to `snn.train_inline_encodes`; in spans mode it also adds
+    /// the per-phase wall time (`snn.train_phase_*_ns`).
     ///
     /// # Panics
     ///
     /// Panics if the dataset images do not match the input size (the
     /// datasets in this workspace always do).
     pub fn train_epoch(&mut self, dataset: &Dataset, seed: u64) -> u64 {
-        // Observation only, once per epoch: never per sample or timestep.
-        let _span = sparkxd_telemetry::span!("snn.train_epoch");
-        sparkxd_telemetry::counter_add!("snn.train_samples", dataset.len());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = RunState::default();
-        let mut total = 0u64;
-        for (image, _) in dataset.iter() {
-            let counts = self
-                .train_sample(&mut state, image.pixels(), &mut rng)
+        self.train_epoch_with(dataset, seed, || ()).0
+    }
+
+    /// [`train_epoch`](Self::train_epoch) while `side` runs on the pool
+    /// helper, which becomes the epoch's encoder once `side` returns.
+    /// Returns the spike total and `side`'s result.
+    ///
+    /// Fault-aware training passes each step's evaluation as `side`, so
+    /// the evaluation and the encoding share the one helper the budget
+    /// grants. Parallel calls nested in `side` size themselves to the
+    /// budget left over, as under [`engine::join`](crate::engine::join).
+    /// With no helper to spare, this is `train_epoch` followed by
+    /// `side()`; either way the results are bit-identical to that serial
+    /// order. A panic in training or in `side` propagates once both sides
+    /// have stopped.
+    ///
+    /// # Panics
+    ///
+    /// As [`train_epoch`](Self::train_epoch).
+    pub fn train_epoch_with<R: Send>(
+        &mut self,
+        dataset: &Dataset,
+        seed: u64,
+        side: impl FnOnce() -> R + Send,
+    ) -> (u64, R) {
+        let config = &self.params.config;
+        let feed = Feed::new(dataset, config.encoder, config.timesteps, seed);
+        crate::engine::join(
+            || {
+                let _close = CloseOnDrop(&feed);
+                // Observation only, once per epoch: never per sample or
+                // timestep. The span covers training, not `side`.
+                let _span = sparkxd_telemetry::span!("snn.train_epoch");
+                let stats = self.train_from(&feed);
+                self.params.rebuild_plane();
+                sparkxd_telemetry::counter_add!("snn.train_samples", dataset.len());
+                sparkxd_telemetry::counter_add!("snn.train_clean_samples", stats.clean_samples);
+                sparkxd_telemetry::counter_add!("snn.train_inline_encodes", stats.inline_encodes);
+                if sparkxd_telemetry::mode() == sparkxd_telemetry::Mode::Spans {
+                    stats.phases.record();
+                }
+                stats.spikes
+            },
+            || {
+                let out = side();
+                feed.produce();
+                out
+            },
+        )
+    }
+
+    /// The trainer's side of an epoch: takes each sample's spike train
+    /// from `feed` in order and trains on it.
+    fn train_from(&mut self, feed: &Feed<'_>) -> EpochStats {
+        let mut state = RunState {
+            kernel: Some(crate::engine::kernel()),
+            train: feed.train_buffer(),
+            clean: self.params.weights.is_clean(),
+            ..RunState::default()
+        };
+        let mut stats = EpochStats::default();
+        for (k, (image, _)) in feed.dataset().iter().enumerate() {
+            // The one telemetry check per sample: phase timing is on in
+            // spans mode only.
+            let timed = sparkxd_telemetry::mode() == sparkxd_telemetry::Mode::Spans;
+            let wait = timed.then(Instant::now);
+            stats.inline_encodes += usize::from(feed.take(k, &mut state.train));
+            if let Some(wait) = wait {
+                stats.phases.encode_wait += wait.elapsed();
+            }
+            check_input_size(&self.params.config, image.pixels())
                 .expect("dataset image matches configured input size");
-            total += counts.iter().map(|&c| c as u64).sum::<u64>();
+            stats.clean_samples += usize::from(state.clean);
+            let counts = self.train_sample(&mut state, timed.then_some(&mut stats.phases));
+            stats.spikes += counts.iter().map(|&c| c as u64).sum::<u64>();
         }
-        self.params.rebuild_plane();
-        total
+        stats
     }
 
     /// Assigns a class to each neuron from its responses on `dataset`
@@ -1252,6 +1418,7 @@ impl DiehlCookNetwork {
 mod tests {
     use super::*;
     use crate::engine::sample_rng;
+    use rand::SeedableRng;
     use sparkxd_data::{SynthDigits, SyntheticSource};
 
     fn small_net() -> DiehlCookNetwork {
@@ -1324,6 +1491,126 @@ mod tests {
             net.weights().as_slice().to_vec()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The reference the clean kernels must reproduce: the same epoch with
+    /// every sample forced onto the generic kernels, encoded serially.
+    fn train_epoch_generic_only(net: &mut DiehlCookNetwork, data: &Dataset, seed: u64) {
+        let config = net.config().clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut state, mut plan) = (RunState::default(), Vec::new());
+        for (image, _) in data.iter() {
+            let pixels = image.pixels();
+            state.train.encode(
+                &config.encoder,
+                pixels,
+                config.timesteps,
+                &mut rng,
+                &mut plan,
+            );
+            state.clean = false;
+            net.train_sample(&mut state, None);
+        }
+        net.params.rebuild_plane();
+    }
+
+    /// One epoch through the trainer alone (every sample encoded inline);
+    /// returns its stats.
+    fn train_epoch_inline(net: &mut DiehlCookNetwork, data: &Dataset, seed: u64) -> EpochStats {
+        let config = net.config();
+        let feed = Feed::new(data, config.encoder, config.timesteps, seed);
+        let stats = net.train_from(&feed);
+        net.params.rebuild_plane();
+        stats
+    }
+
+    fn weight_bits(net: &DiehlCookNetwork) -> Vec<u32> {
+        let words = net.weights().as_slice().iter().chain(net.thetas());
+        words.map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn clean_store_training_matches_the_generic_kernels() {
+        let data = SynthDigits.generate(12, 3);
+        let mut fast = small_net();
+        assert!(
+            fast.weights().is_clean(),
+            "random initial weights are clean"
+        );
+        let mut generic = fast.clone();
+        let stats = train_epoch_inline(&mut fast, &data, 4);
+        assert_eq!(stats.clean_samples, data.len());
+        assert_eq!(stats.inline_encodes, data.len());
+        train_epoch_generic_only(&mut generic, &data, 4);
+        assert_eq!(weight_bits(&fast), weight_bits(&generic));
+        assert!(fast.weights().is_clean());
+    }
+
+    /// Twelve digits with pixel 0 darkened, so input line 0 never fires.
+    fn digits_with_dark_pixel_0() -> Dataset {
+        let data = SynthDigits.generate(12, 3);
+        let images = data
+            .iter()
+            .map(|(image, _)| {
+                let mut image = image.clone();
+                image.pixels_mut()[0] = 0.0;
+                image
+            })
+            .collect();
+        Dataset::from_parts(data.name(), images, data.labels().to_vec())
+    }
+
+    /// A network whose column 5 holds one NaN word, on input line 0, and
+    /// (unless `live`) zeros everywhere else.
+    fn net_with_corrupt_column(live: bool) -> DiehlCookNetwork {
+        let mut net = small_net();
+        net.with_weights_mut(|w| {
+            if !live {
+                for i in 0..w.inputs() {
+                    w.set(i, 5, 0.0);
+                }
+            }
+            w.set(0, 5, f32::NAN);
+        });
+        net
+    }
+
+    #[test]
+    fn a_nan_in_a_dead_column_keeps_training_on_the_generic_kernels() {
+        let data = digits_with_dark_pixel_0();
+        let mut fast = net_with_corrupt_column(false);
+        let mut generic = fast.clone();
+        let stats = train_epoch_inline(&mut fast, &data, 4);
+        // The column stays dead, so normalisation keeps the NaN and the
+        // store never becomes clean.
+        assert!(fast.weights().raw(0, 5).is_nan());
+        assert_eq!(stats.clean_samples, 0);
+        train_epoch_generic_only(&mut generic, &data, 4);
+        assert_eq!(weight_bits(&fast), weight_bits(&generic));
+    }
+
+    #[test]
+    fn a_nan_in_a_live_column_is_scrubbed_after_the_first_sample() {
+        let data = digits_with_dark_pixel_0();
+        let mut fast = net_with_corrupt_column(true);
+        let mut generic = fast.clone();
+        let stats = train_epoch_inline(&mut fast, &data, 4);
+        assert_eq!(stats.clean_samples, data.len() - 1);
+        train_epoch_generic_only(&mut generic, &data, 4);
+        assert_eq!(weight_bits(&fast), weight_bits(&generic));
+    }
+
+    #[test]
+    fn learning_run_sample_matches_a_one_sample_epoch() {
+        let data = SynthDigits.generate(1, 3);
+        let mut by_sample = net_with_corrupt_column(true);
+        let mut by_epoch = by_sample.clone();
+        let mut rng = StdRng::seed_from_u64(8);
+        by_sample
+            .run_sample(data.get(0).0.pixels(), &mut rng, true)
+            .unwrap();
+        by_epoch.train_epoch(&data, 8);
+        assert_eq!(by_sample, by_epoch);
     }
 
     #[test]

@@ -13,9 +13,6 @@
 use crate::kernels::Kernel;
 use crate::synapse::StoredWeights;
 
-/// How many inputs ahead the potentiation column walk prefetches.
-const PREFETCH_ROWS: usize = 16;
-
 /// STDP hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StdpConfig {
@@ -97,20 +94,32 @@ impl StdpState {
     /// (zeroed by the caller) receives the rows in `active_inputs` order —
     /// the same sums a separate read pass after depression would produce.
     ///
+    /// With `clean` set the caller guarantees that every stored word is
+    /// clean (`w >= 0.0 && w <= w_max`), and the rows go through
+    /// [`Kernel::depress_accumulate_clean`], which skips the read rule
+    /// and is bit-identical on such a store.
+    ///
     /// # Panics
     ///
     /// Panics if `drive` does not hold one lane per neuron.
     pub fn on_pre_spikes(
         &mut self,
         weights: &mut StoredWeights,
-        active_inputs: &[usize],
+        active_inputs: &[u32],
         drive: &mut [f32],
         kernel: Kernel,
+        clean: bool,
     ) {
         let w_max = weights.w_max();
         let lr = self.config.lr_depress;
         for &i in active_inputs {
-            kernel.depress_accumulate(weights.fan_out_mut(i), &self.trace_post, lr, w_max, drive);
+            let i = i as usize;
+            let row = weights.fan_out_mut(i);
+            if clean {
+                kernel.depress_accumulate_clean(row, &self.trace_post, lr, w_max, drive);
+            } else {
+                kernel.depress_accumulate(row, &self.trace_post, lr, w_max, drive);
+            }
             self.trace_pre[i] = 1.0;
         }
     }
@@ -118,26 +127,25 @@ impl StdpState {
     /// Processes postsynaptic spikes: each firing neuron's input weights
     /// move by `lr · (trace_pre − x_target) · (w_max − w)` — potentiation
     /// for recently active inputs, depression for silent ones — then the
-    /// post traces are refreshed.
-    ///
-    /// The walk down a weight column strides `neurons` words per input, so
-    /// it hints the word a few inputs ahead into cache while updating the
-    /// current one; the per-weight arithmetic is unchanged.
-    pub fn on_post_spikes(&mut self, weights: &mut StoredWeights, fired: &[usize]) {
+    /// post traces are refreshed. Each column walk runs through
+    /// [`Kernel::potentiate_column`], or through
+    /// [`Kernel::potentiate_column_clean`] when the caller guarantees a
+    /// clean store (as for [`on_pre_spikes`](Self::on_pre_spikes)).
+    pub fn on_post_spikes(
+        &mut self,
+        weights: &mut StoredWeights,
+        fired: &[usize],
+        kernel: Kernel,
+        clean: bool,
+    ) {
         let w_max = weights.w_max();
-        let lr = self.config.lr_potentiate;
-        let x_target = self.config.x_target;
         let neurons = weights.neurons();
         let w = weights.as_mut_slice();
         for &j in fired {
-            for (i, &pre) in self.trace_pre.iter().enumerate() {
-                let ahead = (i + PREFETCH_ROWS) * neurons + j;
-                if let Some(next) = w.get(ahead..=ahead) {
-                    crate::kernels::prefetch_lanes(next);
-                }
-                let w = &mut w[i * neurons + j];
-                let eff = StoredWeights::effective(*w, w_max);
-                *w = (eff + lr * (pre - x_target) * (w_max - eff)).clamp(0.0, w_max);
+            if clean {
+                kernel.potentiate_column_clean(w, neurons, j, &self.trace_pre, &self.config, w_max);
+            } else {
+                kernel.potentiate_column(w, neurons, j, &self.trace_pre, &self.config, w_max);
             }
             self.trace_post[j] = 1.0;
         }
@@ -172,10 +180,14 @@ mod tests {
 
     /// Presynaptic spikes through the fused pass with a scratch drive
     /// buffer; returns the drive the pass accumulated.
-    fn pre(s: &mut StdpState, w: &mut StoredWeights, active: &[usize]) -> Vec<f32> {
+    fn pre(s: &mut StdpState, w: &mut StoredWeights, active: &[u32]) -> Vec<f32> {
         let mut drive = vec![0.0; w.neurons()];
-        s.on_pre_spikes(w, active, &mut drive, Kernel::Scalar);
+        s.on_pre_spikes(w, active, &mut drive, Kernel::Scalar, false);
         drive
+    }
+
+    fn post(s: &mut StdpState, w: &mut StoredWeights, fired: &[usize]) {
+        s.on_post_spikes(w, fired, Kernel::Scalar, false);
     }
 
     #[test]
@@ -184,7 +196,7 @@ mod tests {
         pre(&mut s, &mut w, &[0]);
         s.decay(1.0);
         let before = w.raw(0, 1);
-        s.on_post_spikes(&mut w, &[1]);
+        post(&mut s, &mut w, &[1]);
         assert!(w.raw(0, 1) > before, "pre→post order strengthens");
         // Inputs that were silent fall below the target trace and are
         // slightly depressed instead.
@@ -194,7 +206,7 @@ mod tests {
     #[test]
     fn post_then_pre_depresses() {
         let (mut w, mut s) = setup();
-        s.on_post_spikes(&mut w, &[0]);
+        post(&mut s, &mut w, &[0]);
         s.decay(1.0);
         let before = w.raw(1, 0);
         pre(&mut s, &mut w, &[1]);
@@ -219,7 +231,7 @@ mod tests {
         let (mut w, mut s) = setup();
         for _ in 0..200 {
             pre(&mut s, &mut w, &[0, 1, 2, 3]);
-            s.on_post_spikes(&mut w, &[0, 1]);
+            post(&mut s, &mut w, &[0, 1]);
             s.decay(1.0);
         }
         assert!(w
@@ -235,7 +247,7 @@ mod tests {
         // soft-bounded weight towards (but never past) w_max.
         pre(&mut s, &mut w, &[0]);
         for _ in 0..2000 {
-            s.on_post_spikes(&mut w, &[0]);
+            post(&mut s, &mut w, &[0]);
         }
         let v = w.raw(0, 0);
         assert!(v <= 1.0 && v > 0.95, "saturating potentiation, got {v}");
@@ -245,7 +257,7 @@ mod tests {
     fn reset_clears_traces() {
         let (mut w, mut s) = setup();
         pre(&mut s, &mut w, &[0]);
-        s.on_post_spikes(&mut w, &[0]);
+        post(&mut s, &mut w, &[0]);
         s.reset();
         assert!(s.trace_pre().iter().all(|&t| t == 0.0));
         assert!(s.trace_post().iter().all(|&t| t == 0.0));
@@ -282,10 +294,10 @@ mod tests {
         for &kernel in Kernel::available() {
             let mut w = StoredWeights::from_weights(2, 6, 1.0, stored.clone());
             let mut s = StdpState::new(StdpConfig::standard(), 2, 6);
-            s.on_post_spikes(&mut w.clone(), &[1, 4]);
+            s.on_post_spikes(&mut w.clone(), &[1, 4], kernel, false);
             s.decay(1.0);
             let mut drive = vec![0.0; 6];
-            s.on_pre_spikes(&mut w, &[0, 1], &mut drive, kernel);
+            s.on_pre_spikes(&mut w, &[0, 1], &mut drive, kernel, false);
             let (mut clamped, mut unclamped) = (vec![0.0; 6], vec![0.0; 6]);
             for i in [0, 1] {
                 kernel.accumulate_effective(&mut clamped, w.fan_out(i), 1.0);

@@ -166,6 +166,15 @@ impl StoredWeights {
         &mut self.w[input * self.neurons..(input + 1) * self.neurons]
     }
 
+    /// `true` when every stored word is *clean*: `w >= 0.0 && w <= w_max`
+    /// (so finite; `-0.0` counts). On a clean word the read rule
+    /// [`effective`](Self::effective) is the identity, bit for bit, which
+    /// is what lets training run its clean kernels.
+    pub fn is_clean(&self) -> bool {
+        let w_max = self.w_max;
+        self.w.iter().all(|&w| w >= 0.0 && w <= w_max)
+    }
+
     /// Normalises each neuron's total (effective) input weight to
     /// `target_sum` — Diehl & Cook's homeostatic weight normalisation,
     /// applied after each training sample.
@@ -185,25 +194,60 @@ impl StoredWeights {
     /// column-major traversal but cache-friendly at N3600, and identical
     /// under every kernel.
     pub fn normalize_columns(&mut self, target_sum: f32, kernel: Kernel) {
+        self.normalize_columns_with(target_sum, kernel, false, &mut Vec::new());
+    }
+
+    /// [`normalize_columns`](Self::normalize_columns) with a reusable
+    /// per-column scratch buffer and the store's known cleanliness.
+    ///
+    /// With `clean` set the caller guarantees [`is_clean`](Self::is_clean),
+    /// and the sum pass runs [`Kernel::accumulate_clean`]; the scale pass
+    /// runs [`Kernel::rescale_clean`] too unless some column is dead. Both
+    /// are bit-identical to the generic passes on a clean store.
+    ///
+    /// Returns whether the store is known clean afterwards: a clean store
+    /// stays clean (rescaling clamps into `[0, w_max]` and a dead column
+    /// keeps words that were clean), and a dirty one becomes clean when
+    /// no column is dead, since every word is then rewritten into range.
+    /// `false` is conservative: a dirty store with a dead column may
+    /// happen to be clean.
+    pub(crate) fn normalize_columns_with(
+        &mut self,
+        target_sum: f32,
+        kernel: Kernel,
+        clean: bool,
+        scratch: &mut Vec<f32>,
+    ) -> bool {
         let w_max = self.w_max;
-        let mut sums = vec![0.0f32; self.neurons];
+        scratch.clear();
+        scratch.resize(self.neurons, 0.0);
         for row in self.w.chunks_exact(self.neurons) {
-            kernel.accumulate_effective(&mut sums, row, w_max);
+            if clean {
+                kernel.accumulate_clean(scratch, row);
+            } else {
+                kernel.accumulate_effective(scratch, row, w_max);
+            }
         }
-        // NaN marks a dead column: the scale pass keeps its words.
-        let scales: Vec<f32> = sums
-            .iter()
-            .map(|&sum| {
-                if sum <= f32::EPSILON {
-                    f32::NAN
-                } else {
-                    target_sum / sum
-                }
-            })
-            .collect();
+        // The sums become the scales in place; NaN marks a dead column,
+        // whose words the scale pass keeps.
+        let mut dead = false;
+        for sum in scratch.iter_mut() {
+            *sum = if *sum <= f32::EPSILON {
+                dead = true;
+                f32::NAN
+            } else {
+                target_sum / *sum
+            };
+        }
+        let scales: &[f32] = scratch;
         for row in self.w.chunks_exact_mut(self.neurons) {
-            kernel.rescale_effective(row, &scales, w_max);
+            if clean && !dead {
+                kernel.rescale_clean(row, scales, w_max);
+            } else {
+                kernel.rescale_effective(row, scales, w_max);
+            }
         }
+        clean || !dead
     }
 
     /// Fraction of weights that are *effectively* non-zero (network
@@ -503,6 +547,57 @@ mod tests {
             };
             assert_eq!(bits(&rowwise), bits(&colwise), "{kernel:?}");
         }
+    }
+
+    #[test]
+    fn clean_means_inside_zero_to_w_max() {
+        let clean = [0.0, -0.0, 1.5e-41, 0.5, 1.0];
+        assert!(StoredWeights::from_weights(1, 5, 1.0, clean.to_vec()).is_clean());
+        for dirty in [f32::NAN, f32::INFINITY, -1.0e-41, -0.5, 1.0000001] {
+            let m = StoredWeights::from_weights(1, 2, 1.0, vec![0.5, dirty]);
+            assert!(!m.is_clean(), "{dirty:?}");
+        }
+    }
+
+    #[test]
+    fn clean_normalisation_matches_generic_and_tracks_cleanliness() {
+        let bits =
+            |m: &StoredWeights| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let mut clean = StoredWeights::random(37, 11, 1.0, 4);
+        clean.set(2, 3, -0.0);
+        clean.set(5, 6, 1.0);
+        clean.set(9, 1, 1.5e-41);
+        // Column 9 all-zero: clean but dead, so the scale pass keeps it
+        // through the generic kernel and the store stays clean.
+        let mut with_dead = clean.clone();
+        for i in 0..37 {
+            with_dead.set(i, 9, 0.0);
+        }
+        for base in [clean, with_dead] {
+            assert!(base.is_clean());
+            for &kernel in Kernel::available() {
+                let mut generic = base.clone();
+                generic.normalize_columns(10.0, kernel);
+                let mut fast = base.clone();
+                let mut scratch = vec![7.0; 3];
+                assert!(fast.normalize_columns_with(10.0, kernel, true, &mut scratch));
+                assert_eq!(bits(&fast), bits(&generic), "{kernel:?}");
+                assert!(fast.is_clean());
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_normalisation_reports_cleanliness_after() {
+        let mut scratch = Vec::new();
+        // Live columns only: every word is rewritten into range.
+        let mut m = StoredWeights::from_weights(2, 2, 1.0, vec![f32::NAN, 0.5, 0.25, 9.0]);
+        assert!(m.normalize_columns_with(1.0, Kernel::Scalar, false, &mut scratch));
+        assert!(m.is_clean());
+        // A dead column keeps its NaN: still dirty.
+        let mut m = StoredWeights::from_weights(2, 2, 1.0, vec![f32::NAN, 0.5, -1.0, 0.25]);
+        assert!(!m.normalize_columns_with(1.0, Kernel::Scalar, false, &mut scratch));
+        assert!(m.raw(0, 0).is_nan());
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property tests for the runtime-dispatched kernel layer: every kernel
 //! in [`Kernel::available()`] must produce **bit-identical** results —
 //! at the single-call level (drive accumulate, LIF lane update,
-//! inhibition sweep, and training's fused depression + drive pass and
-//! normalisation scale pass) and through the full `BatchEvaluator` stack — to
-//! the portable scalar kernel, for any weight contents (NaN, ±Inf,
-//! negatives, denormals, signed zero), any dead-row pattern, and every
-//! tail alignment `n % 8 ∈ {0..7}` the 8-lane AVX2 bodies can mishandle.
+//! inhibition sweep, and training's fused depression + drive pass,
+//! normalisation scale pass and potentiation column walk) and through the
+//! full `BatchEvaluator` stack — to the portable scalar kernel, for any
+//! weight contents (NaN, ±Inf, negatives, denormals, signed zero), any
+//! dead-row pattern, and every tail alignment `n % 8 ∈ {0..7}` the 8-lane
+//! AVX2 bodies can mishandle.
+//! Training's clean-store entry points must also equal their generic
+//! kernels on every clean word (`0 <= w <= w_max`), under every kernel.
 //!
 //! Mirrors `tile_invariance.rs`: kernel pinning goes through the
 //! `BatchEvaluator::with_kernel` / `BatchState::with_kernel` APIs rather
@@ -19,7 +22,7 @@ use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::kernels::LifLanes;
 use sparkxd::snn::{
     BatchState, DiehlCookNetwork, IntraChoice, Kernel, KernelChoice, LifConfig, NetworkParams,
-    QuantizedImage, RunState, SnnConfig, WeightPrecision,
+    QuantizedImage, RunState, SnnConfig, StdpConfig, WeightPrecision,
 };
 use std::sync::OnceLock;
 
@@ -76,7 +79,7 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Runs every available kernel's seven entry points against the scalar
+/// Runs every available kernel's generic entry points against the scalar
 /// kernel on identical inputs and demands bitwise agreement. `len`
 /// sweeps all tail alignments; `phase` rotates which nasty word lands
 /// on which lane.
@@ -163,6 +166,88 @@ fn check_kernels_agree(len: usize, phase: usize) {
         Kernel::Scalar.rescale_effective(&mut a, &scales, 1.0);
         kernel.rescale_effective(&mut b, &scales, 1.0);
         assert_bits_eq(&b, &a, "rescale_effective");
+        // Potentiation column walk over a corrupt `len × 2` store.
+        let stdp = StdpConfig::standard();
+        let store = nasty_vec(2 * len, phase.wrapping_add(7));
+        for column in 0..2.min(store.len()) {
+            let mut a = store.clone();
+            let mut b = store.clone();
+            Kernel::Scalar.potentiate_column(&mut a, 2, column, &trace, &stdp, 1.0);
+            kernel.potentiate_column(&mut b, 2, column, &trace, &stdp, 1.0);
+            assert_bits_eq(&b, &a, "potentiate_column");
+        }
+    }
+}
+
+/// The clean subset of [`NASTY`] at `w_max = 1.0` — the words a clean
+/// store may hold (`w >= 0.0 && w <= w_max`): signed zeros, denormals,
+/// `w_max` itself and in-range values — plus a few more in-range values.
+const CLEAN: [f32; 10] = [
+    0.0,
+    -0.0,
+    1.0,
+    1.5e-41,
+    0.015625,
+    1.0e-3,
+    f32::MIN_POSITIVE,
+    0.5,
+    0.999_999_9,
+    0.3,
+];
+
+fn clean_vec(len: usize, phase: usize) -> Vec<f32> {
+    (0..len).map(|i| CLEAN[(i + phase) % CLEAN.len()]).collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every clean-store entry point against its generic kernel, on clean
+/// weights, for every available kernel: the rewritten weights, the drive
+/// and the column sums must match bit for bit. The other operands come
+/// from the full nasty bank (NaN-free scales: the clean scale pass only
+/// runs when no column is dead), since only the weights must be clean.
+fn check_clean_kernels_match_generic(len: usize, phase: usize) {
+    let row = clean_vec(len, phase);
+    let acc0 = nasty_vec(len, phase.wrapping_add(5));
+    let trace = nasty_vec(len, phase.wrapping_add(3));
+    let scales: Vec<f32> = nasty_vec(len, phase.wrapping_add(11))
+        .into_iter()
+        .map(|x| if x.is_nan() { 2.0 } else { x })
+        .collect();
+    for &kernel in Kernel::available() {
+        let what = |entry: &str| format!("{entry} {kernel:?} len={len} phase={phase}");
+        // Fused depression + drive.
+        let (mut row_a, mut drive_a) = (row.clone(), acc0.clone());
+        let (mut row_b, mut drive_b) = (row.clone(), acc0.clone());
+        kernel.depress_accumulate(&mut row_a, &trace, 0.0012, 1.0, &mut drive_a);
+        kernel.depress_accumulate_clean(&mut row_b, &trace, 0.0012, 1.0, &mut drive_b);
+        assert_eq!(bits(&row_b), bits(&row_a), "{}", what("depress weights"));
+        assert_eq!(bits(&drive_b), bits(&drive_a), "{}", what("depress drive"));
+        // Column-sum pass.
+        let mut a = acc0.clone();
+        let mut b = acc0.clone();
+        kernel.accumulate_effective(&mut a, &row, 1.0);
+        kernel.accumulate_clean(&mut b, &row);
+        assert_eq!(bits(&b), bits(&a), "{}", what("column sums"));
+        // Scale pass.
+        let mut a = row.clone();
+        let mut b = row.clone();
+        kernel.rescale_effective(&mut a, &scales, 1.0);
+        kernel.rescale_clean(&mut b, &scales, 1.0);
+        assert_eq!(bits(&b), bits(&a), "{}", what("rescale"));
+        // Potentiation column walks: a `len × 3` store, every column.
+        let stdp = StdpConfig::standard();
+        let store = clean_vec(3 * len, phase.wrapping_add(1));
+        let trace_pre: Vec<f32> = trace.iter().map(|t| t.abs().min(1.0)).collect();
+        for column in 0..3.min(store.len()) {
+            let mut a = store.clone();
+            let mut b = store.clone();
+            kernel.potentiate_column(&mut a, 3, column, &trace_pre, &stdp, 1.0);
+            kernel.potentiate_column_clean(&mut b, 3, column, &trace_pre, &stdp, 1.0);
+            assert_eq!(bits(&b), bits(&a), "{}", what("potentiate"));
+        }
     }
 }
 
@@ -174,6 +259,7 @@ fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
     for len in 0..=23 {
         for phase in 0..NASTY.len() {
             check_kernels_agree(len, phase);
+            check_clean_kernels_match_generic(len, phase);
         }
     }
 }
@@ -286,6 +372,7 @@ proptest! {
         phase in 0usize..256,
     ) {
         check_kernels_agree(len, phase);
+        check_clean_kernels_match_generic(len, phase);
     }
 
     /// Any (kernel, batch, thread, tile, intra, seed) point — driven

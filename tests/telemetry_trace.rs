@@ -3,7 +3,9 @@
 //! seven pipeline stage spans plus at least one training-epoch span, one
 //! fault-aware-training step evaluation (`fat.step_eval`, the evaluation
 //! that overlaps the next step's training), one `WorkerPool` dispatch span
-//! and one DRAM replay span beneath them.
+//! and one DRAM replay span beneath them — and a snapshot holding
+//! training's per-epoch counters (clean-store samples, inline encodes and
+//! the spans-only per-phase wall times).
 //!
 //! Single `#[test]` on purpose: the telemetry mode is process-global,
 //! like the engine knobs the sibling invariance suites pin.
@@ -70,4 +72,34 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
             "trace is missing the {span} span"
         );
     }
+
+    // Training's once-per-epoch counters, including the spans-only
+    // per-phase wall times. Training starts from a clean store, so most
+    // samples take the clean kernels (a step's injected errors may put
+    // its first samples back on the generic ones).
+    let snapshot = telemetry::TelemetrySnapshot::capture();
+    let counter = |name: &str| {
+        snapshot
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("snapshot is missing the {name} counter"))
+    };
+    for name in [
+        "snn.train_inline_encodes",
+        "snn.train_phase_encode_wait_ns",
+        "snn.train_phase_decay_ns",
+        "snn.train_phase_depress_ns",
+        "snn.train_phase_lif_ns",
+        "snn.train_phase_potentiate_ns",
+        "snn.train_phase_normalise_ns",
+    ] {
+        counter(name);
+    }
+    let samples = counter("snn.train_samples");
+    assert!(samples > 0);
+    let clean = counter("snn.train_clean_samples");
+    assert!(clean > 0 && clean <= samples, "{clean} of {samples}");
+    assert!(counter("snn.train_phase_depress_ns") > 0);
 }

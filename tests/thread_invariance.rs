@@ -13,6 +13,10 @@
 //! with one, the steps run strictly in order. All three must agree bit
 //! for bit on the outcome and on the final weights and thresholds.
 //!
+//! Plain `train_epoch` joins the matrix too: its Poisson encoding runs
+//! ahead on a pool helper with two or more threads and inline with one,
+//! and the trained weights and thresholds must not move a bit.
+//!
 //! This file holds a single `#[test]` on purpose: `SPARKXD_THREADS`,
 //! `SPARKXD_BATCH`, `SPARKXD_TILE`, `SPARKXD_KERNEL`, `SPARKXD_INTRA`
 //! and `SPARKXD_TELEMETRY` are process-global, and cargo runs the tests
@@ -109,8 +113,41 @@ fn improve_with(threads: &str, accuracy_bound: f64) -> (FaultAwareOutcome, Vec<u
     (outcome, bits(net.weights().as_slice()), bits(net.thetas()))
 }
 
+/// One training epoch under `threads` configured workers and the given
+/// telemetry mode: the `to_bits` of the trained weights and thresholds.
+/// The initial image carries one NaN word in a live column, so the first
+/// sample trains on the generic kernels and the rest on the clean ones,
+/// and the dataset wraps the encode-ahead ring more than once.
+fn train_epoch_with_threads(threads: &str, telemetry: &str) -> Vec<u32> {
+    std::env::set_var(THREADS_ENV, threads);
+    std::env::set_var(TELEMETRY_ENV, telemetry);
+    sparkxd::telemetry::force_mode_from_env();
+    let train = SynthDigits.generate(80, 6);
+    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(24).with_timesteps(25));
+    net.with_weights_mut(|w| w.set(300, 3, f32::NAN));
+    net.train_epoch(&train, 0x7E);
+    for var in [THREADS_ENV, TELEMETRY_ENV] {
+        std::env::remove_var(var);
+    }
+    sparkxd::telemetry::force_mode_from_env();
+    let words = net.weights().as_slice().iter().chain(net.thetas());
+    words.map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
+    // Training epochs: Poisson encoding runs ahead on a pool helper with
+    // two or more workers and inline with one; phase timing is on in
+    // spans mode only. None of it may move a trained bit.
+    let serial = train_epoch_with_threads("1", "off");
+    for (threads, telemetry) in [("2", "off"), ("4", "off"), ("2", "spans")] {
+        assert_eq!(
+            serial,
+            train_epoch_with_threads(threads, telemetry),
+            "train_epoch on {threads} threads (telemetry {telemetry}) diverged from serial"
+        );
+    }
+
     // Fault-aware training: overlapped (2, 4 threads) against strictly
     // serial (1 thread). A bound of 1.0 lets the last step win (the
     // trained network itself is the result); at 0.02 the first and last
