@@ -1,12 +1,12 @@
-//! Execution-engine throughput: scalar vs batched read path, serial vs
-//! parallel sharding, so the engine's speedups are tracked in the bench
-//! trajectory alongside the per-component numbers.
+//! Execution-engine throughput: the reference `run_sample` vs the batched
+//! engine, serial vs parallel sharding, so the engine's speedups are
+//! tracked in the bench trajectory alongside the per-component numbers.
 //!
 //! The `n400_*` group is the ROADMAP's hot-path acceptance check: the
 //! batched path (`run_batch` streaming precomputed effective-weight rows
-//! once per chunk) against the scalar path (`run_sample` re-applying the
+//! once per chunk) against the reference `run_sample` (re-applying the
 //! synapse read rule to every stored weight on every access — exactly the
-//! pre-split behaviour), both pinned to one worker thread. Throughput is
+//! pre-split behaviour), both on one thread. Throughput is
 //! reported as samples/sec via the group's `Throughput::Elements`.
 //!
 //! The `n3600_*` group is the paper-scale tiling + kernel + occupancy
@@ -21,11 +21,26 @@
 //! runner's `auto` would claim helpers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sparkxd_data::{SynthDigits, SyntheticSource};
-use sparkxd_snn::engine::{BatchEvaluator, DEFAULT_BATCH, DEFAULT_TILE};
+use sparkxd_data::{Dataset, SynthDigits, SyntheticSource};
+use sparkxd_snn::engine::{sample_rng, BatchEvaluator, DEFAULT_BATCH, DEFAULT_TILE};
 use sparkxd_snn::kernels::avx2_supported;
-use sparkxd_snn::{DiehlCookNetwork, IntraChoice, KernelChoice, SnnConfig};
+use sparkxd_snn::{
+    DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, RunState, SnnConfig,
+};
 use std::time::Duration;
+
+/// Spike counts of every sample through the reference `run_sample`.
+fn run_sample_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
+    let mut state = RunState::for_params(params);
+    (0..data.len())
+        .map(|i| {
+            let mut rng = sample_rng(seed, i as u64);
+            params
+                .run_sample(&mut state, data.get(i).0.pixels(), &mut rng)
+                .unwrap()
+        })
+        .collect()
+}
 
 fn bench(c: &mut Criterion) {
     // Demo-scale evaluation workload: N100 x 100 samples x 50 timesteps,
@@ -42,9 +57,8 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(4))
         .throughput(Throughput::Elements(data.len() as u64));
 
-    g.bench_function("evaluate_scalar_serial_n100_s100", |b| {
-        let eval = BatchEvaluator::with_threads(1).with_batch(1);
-        b.iter(|| eval.evaluate(&params, &data, &labeler, 5))
+    g.bench_function("run_sample_serial_n100_s100", |b| {
+        b.iter(|| run_sample_counts(&params, &data, 5))
     });
 
     g.bench_function(
@@ -67,7 +81,7 @@ fn bench(c: &mut Criterion) {
     );
     g.finish();
 
-    // Paper-scale read path: N400, single worker, scalar vs batched, on a
+    // Paper-scale read path: N400, single worker, run_sample vs batched, on a
     // (briefly) trained model — the image the pipeline actually evaluates.
     let mut net_n400 = DiehlCookNetwork::new(SnnConfig::for_neurons(400).with_timesteps(50));
     net_n400.train_epoch(&SynthDigits.generate(48, 1), 2);
@@ -78,9 +92,8 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5))
         .throughput(Throughput::Elements(data_n400.len() as u64));
 
-    g.bench_function("spike_counts_scalar_serial_n400", |b| {
-        let eval = BatchEvaluator::with_threads(1).with_batch(1);
-        b.iter(|| eval.spike_counts(&params_n400, &data_n400, 9))
+    g.bench_function("run_sample_serial_n400", |b| {
+        b.iter(|| run_sample_counts(&params_n400, &data_n400, 9))
     });
 
     g.bench_function(

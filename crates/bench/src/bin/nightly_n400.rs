@@ -1,161 +1,137 @@
 //! Nightly scale guard: one paper-scale (N400) pipeline end to end, an
-//! engine-throughput measurement (scalar vs batched read path), and a
-//! drive-kernel scale sweep up to the paper's largest network (N3600,
-//! scalar vs untiled vs serial-tiled vs tiled+AVX2 vs
+//! engine-throughput measurement (reference `run_sample` vs batched read
+//! path), and a drive-kernel scale sweep up to the paper's largest
+//! network (N3600, reference vs untiled vs serial-tiled vs tiled+AVX2 vs
 //! intra-parallel-tiled).
 //!
 //! The per-PR suite runs demo-sized networks; scale-dependent regressions
 //! (mapping capacity at real column counts, accuracy collapse at N400,
 //! runtime blow-ups, the drive slab falling out of cache at N3600) only
 //! show at paper scale. The scheduled nightly workflow runs this binary;
-//! it exits non-zero when a sanity bound is violated. Throughput numbers
-//! are printed to stdout and, when `GITHUB_STEP_SUMMARY` is set (as in
-//! GitHub Actions), appended to the job summary as a markdown table so
-//! the nightly trajectory is visible without digging through logs. The
-//! kernel sweep is additionally written to `BENCH_8.json`
-//! (machine-readable samples/sec per configuration, at N400/N1600/N3600)
-//! for the trajectory tooling, and the storage-precision sweep (fp32 vs
-//! int16 vs int8 N400 weight images: columns, trace ops, pass energy) to
-//! `BENCH_9.json`.
+//! it exits non-zero when a sanity bound or a perf gate is violated, and
+//! every gate prints the numbers it compares. Throughput numbers are also
+//! appended to the GitHub Actions job summary when `GITHUB_STEP_SUMMARY`
+//! is set.
 //!
 //! Usage: `cargo run -p sparkxd-bench --release --bin nightly_n400`
 //! (`SPARKXD_NIGHTLY_SEED` overrides the default device seed of 42).
 
-use sparkxd_bench::{
-    append_job_summary, bench_json, precision_json, telemetry_overhead_json, telemetry_summary,
-    write_bench_json, BenchRow, PrecisionRow,
-};
+use sparkxd_bench::{append_job_summary, telemetry_summary};
 use sparkxd_core::energy_eval::EnergyEvaluation;
 use sparkxd_core::mapping::{BaselineMapping, MappingPolicy};
 use sparkxd_core::pipeline::{DatasetKind, PipelineConfig, SparkXdPipeline};
 use sparkxd_core::trace_gen::columns_for_words;
+use sparkxd_data::Dataset;
 use sparkxd_data::{SynthDigits, SyntheticSource};
 use sparkxd_dram::{DramConfig, DramModel};
 use sparkxd_error::ErrorProfile;
-use sparkxd_snn::engine::{busy_peak, BatchEvaluator, DEFAULT_BATCH};
+use sparkxd_snn::engine::{busy_peak, sample_rng, BatchEvaluator, DEFAULT_BATCH, DEFAULT_TILE};
 use sparkxd_snn::kernels::avx2_supported;
 use sparkxd_snn::WeightPrecision;
-use sparkxd_snn::{DiehlCookNetwork, IntraChoice, KernelChoice, SnnConfig, WorkerPool};
+use sparkxd_snn::{
+    DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, RunState, SnnConfig, WorkerPool,
+};
 use sparkxd_telemetry as telemetry;
 
-/// Samples/sec of one engine configuration on `samples` N400 inferences
-/// (best of `reps` passes, first pass warms the cache).
-fn samples_per_sec(
-    eval: &BatchEvaluator,
-    params: &sparkxd_snn::NetworkParams,
-    data: &sparkxd_data::Dataset,
-    reps: usize,
-) -> f64 {
-    let mut best = f64::MAX;
+/// Best wall time, in seconds, of each pass over `reps` rounds. The
+/// passes are **interleaved** round-robin rather than measured back to
+/// back: on a shared machine throughput drifts by tens of percent over
+/// seconds, and sequential measurement folds that drift into whichever
+/// pass ran last.
+fn interleaved_best<T>(passes: &[T], reps: usize, run: impl Fn(&T)) -> Vec<f64> {
+    let mut best = vec![f64::MAX; passes.len()];
     for _ in 0..reps.max(1) {
-        let t = std::time::Instant::now();
-        let counts = eval.spike_counts(params, data, 0x7A);
-        std::hint::black_box(counts);
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    data.len() as f64 / best
-}
-
-/// Measures scalar vs batched (and machine-parallel batched) inference
-/// throughput on a briefly trained N400 model; returns
-/// `(scalar, batched, parallel)` in samples/sec.
-fn measure_throughput() -> (f64, f64, f64) {
-    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(400).with_timesteps(50));
-    net.train_epoch(&SynthDigits.generate(48, 1), 2);
-    let params = net.into_params();
-    let data = SynthDigits.generate(64, 7);
-    let scalar = samples_per_sec(
-        &BatchEvaluator::with_threads(1).with_batch(1),
-        &params,
-        &data,
-        3,
-    );
-    let batched = samples_per_sec(
-        &BatchEvaluator::with_threads(1).with_batch(DEFAULT_BATCH),
-        &params,
-        &data,
-        3,
-    );
-    let parallel = samples_per_sec(
-        &BatchEvaluator::from_env().with_batch(DEFAULT_BATCH),
-        &params,
-        &data,
-        3,
-    );
-    (scalar, batched, parallel)
-}
-
-/// Measures the scalar serial reference (`run_sample`, B = 1), the
-/// untiled batched sweep (one `usize::MAX` tile — the pre-tiling
-/// behaviour), the serial tiled batched sweep, — on AVX2 hosts — the
-/// tiled sweep on the AVX2 kernel, and — with `intra_workers > 1` — the
-/// intra-parallel tiled sweep (the per-timestep tile fan-out across
-/// `intra_workers` pool workers), on a briefly trained network of
-/// `n_neurons`. The serial rows pin `KernelChoice::Scalar` *and*
-/// `IntraChoice::Off` so they stay comparable across hosts and nights
-/// regardless of what `auto` resolves to on a multi-core runner. The
-/// configurations are **interleaved** round-robin (best-of per config)
-/// rather than measured back to back: on a shared machine, throughput
-/// drifts by tens of percent over seconds, and sequential measurement
-/// folds that drift into whichever config ran last. Sample counts shrink
-/// as the network grows so the sweep stays in nightly budget.
-fn measure_kernels(n_neurons: usize, samples: usize, intra_workers: usize) -> BenchRow {
-    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(n_neurons).with_timesteps(50));
-    net.train_epoch(&SynthDigits.generate(24, 1), 2);
-    let params = net.into_params();
-    let data = SynthDigits.generate(samples, 7);
-    let mut evals = vec![
-        BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar)
-            .with_intra(IntraChoice::Off),
-        BatchEvaluator::with_threads(1)
-            .with_batch(DEFAULT_BATCH)
-            .with_tile(usize::MAX)
-            .with_kernel(KernelChoice::Scalar)
-            .with_intra(IntraChoice::Off),
-        BatchEvaluator::with_threads(1)
-            .with_batch(DEFAULT_BATCH)
-            .with_kernel(KernelChoice::Scalar)
-            .with_intra(IntraChoice::Off),
-    ];
-    let avx2_slot = if avx2_supported() {
-        evals.push(
-            BatchEvaluator::with_threads(1)
-                .with_batch(DEFAULT_BATCH)
-                .with_kernel(KernelChoice::Avx2)
-                .with_intra(IntraChoice::Off),
-        );
-        Some(evals.len() - 1)
-    } else {
-        None
-    };
-    let intra_slot = if intra_workers > 1 {
-        evals.push(
-            BatchEvaluator::with_threads(1)
-                .with_batch(DEFAULT_BATCH)
-                .with_kernel(KernelChoice::Scalar)
-                .with_intra(IntraChoice::Workers(intra_workers)),
-        );
-        Some(evals.len() - 1)
-    } else {
-        None
-    };
-    let mut best = vec![f64::MAX; evals.len()];
-    for _ in 0..4 {
-        for (slot, eval) in best.iter_mut().zip(&evals) {
+        for (slot, pass) in best.iter_mut().zip(passes) {
             let t = std::time::Instant::now();
-            std::hint::black_box(eval.spike_counts(&params, &data, 0x7A));
+            run(pass);
             *slot = slot.min(t.elapsed().as_secs_f64());
         }
     }
-    BenchRow {
+    best
+}
+
+/// One inference pass over `data`: through `eval`, or with `None` through
+/// the reference `NetworkParams::run_sample` per image (portable kernel,
+/// single thread).
+fn inference_pass(eval: Option<BatchEvaluator>, params: &NetworkParams, data: &Dataset) {
+    let Some(eval) = eval else {
+        let mut state = RunState::for_params(params).with_kernel(KernelChoice::Scalar);
+        for (i, (image, _)) in data.iter().enumerate() {
+            let mut rng = sample_rng(0x7A, i as u64);
+            std::hint::black_box(params.run_sample(&mut state, image.pixels(), &mut rng)).unwrap();
+        }
+        return;
+    };
+    std::hint::black_box(eval.spike_counts(params, data, 0x7A));
+}
+
+/// A briefly trained network of `n_neurons` and `samples` test images.
+fn trained(n_neurons: usize, train: usize, samples: usize) -> (NetworkParams, Dataset) {
+    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(n_neurons).with_timesteps(50));
+    net.train_epoch(&SynthDigits.generate(train, 1), 2);
+    (net.into_params(), SynthDigits.generate(samples, 7))
+}
+
+/// Reference vs batched (and machine-parallel batched) inference
+/// throughput on a briefly trained N400 model; returns
+/// `(reference, batched, parallel)` in samples/sec.
+fn measure_throughput() -> (f64, f64, f64) {
+    let (params, data) = trained(400, 48, 64);
+    let serial = BatchEvaluator::with_threads(1).with_batch(DEFAULT_BATCH);
+    let parallel = BatchEvaluator::from_env().with_batch(DEFAULT_BATCH);
+    let best = interleaved_best(&[None, Some(serial), Some(parallel)], 3, |&eval| {
+        inference_pass(eval, &params, &data)
+    });
+    let sps = |secs: f64| data.len() as f64 / secs;
+    (sps(best[0]), sps(best[1]), sps(best[2]))
+}
+
+/// One network size of the drive-kernel sweep, in samples/sec.
+struct KernelRow {
+    n_neurons: usize,
+    /// `run_sample`, the reference read path.
+    reference: f64,
+    /// One `usize::MAX` tile, portable kernel.
+    untiled: f64,
+    /// Default tiles, portable kernel, one sweep job.
+    tiled: f64,
+    /// Tiled on the AVX2 kernel; `None` off AVX2 hosts.
+    tiled_avx2: Option<f64>,
+    /// Tiled with the intra-chunk split; `None` when not measured.
+    tiled_intra: Option<f64>,
+}
+
+/// Measures every [`KernelRow`] configuration on a briefly trained
+/// network of `n_neurons`. The engine rows pin `KernelChoice::Scalar`
+/// *and* `IntraChoice::Off` (except the row each varies) so they stay
+/// comparable across hosts regardless of what `auto` resolves to. Sample
+/// counts shrink as the network grows so the sweep stays in budget.
+fn measure_kernels(n_neurons: usize, samples: usize, intra_workers: usize) -> KernelRow {
+    let (params, data) = trained(n_neurons, 24, samples);
+    let tiled = BatchEvaluator::with_threads(1)
+        .with_batch(DEFAULT_BATCH)
+        .with_kernel(KernelChoice::Scalar)
+        .with_intra(IntraChoice::Off);
+    let untiled = tiled.with_tile(usize::MAX);
+    let avx2 = tiled.with_kernel(KernelChoice::Avx2);
+    let intra = tiled.with_intra(IntraChoice::Workers(intra_workers));
+    let mut passes = vec![None, Some(untiled), Some(tiled)];
+    if avx2_supported() {
+        passes.push(Some(avx2));
+    }
+    if intra_workers > 1 {
+        passes.push(Some(intra));
+    }
+    let mut sps = interleaved_best(&passes, 4, |&eval| inference_pass(eval, &params, &data))
+        .into_iter()
+        .map(|secs| data.len() as f64 / secs);
+    KernelRow {
         n_neurons,
-        scalar: data.len() as f64 / best[0],
-        untiled: data.len() as f64 / best[1],
-        tiled: data.len() as f64 / best[2],
-        tiled_avx2: avx2_slot.map(|i| data.len() as f64 / best[i]),
-        tiled_intra: intra_slot.map(|i| data.len() as f64 / best[i]),
+        reference: sps.next().unwrap(),
+        untiled: sps.next().unwrap(),
+        tiled: sps.next().unwrap(),
+        tiled_avx2: avx2_supported().then(|| sps.next().unwrap()),
+        tiled_intra: (intra_workers > 1).then(|| sps.next().unwrap()),
     }
 }
 
@@ -190,11 +166,20 @@ fn measure_replay_throughput(reps: usize) -> (f64, f64) {
     (accesses / best_per_access, accesses / best_compressed)
 }
 
+/// One N400 weight-image pass at one storage format.
+struct PrecisionPass {
+    precision: WeightPrecision,
+    columns: usize,
+    trace_ops: usize,
+    pass_mj: f64,
+    pass_ns: f64,
+}
+
 /// One N400 weight-image pass per storage format on the accurate-DRAM
 /// baseline mapping: columns, compressed-trace ops and replay-priced
 /// energy/latency. Deterministic (no timing) — this sweep measures
 /// *traffic*, the kernel sweeps above measure speed.
-fn measure_precision_sweep() -> Vec<PrecisionRow> {
+fn measure_precision_sweep() -> Vec<PrecisionPass> {
     let config = DramConfig::lpddr3_1600_4gb();
     let flat = ErrorProfile::uniform(0.0, config.geometry.total_subarrays());
     [
@@ -204,17 +189,15 @@ fn measure_precision_sweep() -> Vec<PrecisionRow> {
     ]
     .into_iter()
     .map(|precision| {
-        let n_columns = columns_for_words(784 * 400, config.geometry.col_bytes, precision);
+        let columns = columns_for_words(784 * 400, config.geometry.col_bytes, precision);
         let mapping = BaselineMapping
-            .map(n_columns, &config.geometry, &flat, f64::MAX)
+            .map(columns, &config.geometry, &flat, f64::MAX)
             .expect("device holds the packed N400 image")
             .with_precision(precision);
         let energy = EnergyEvaluation::evaluate(&config, &mapping);
-        PrecisionRow {
-            precision: precision.label(),
-            word_bits: precision.word_bits(),
-            image_bytes: 784 * 400 * precision.bytes_per_word(),
-            columns: n_columns,
+        PrecisionPass {
+            precision,
+            columns,
             trace_ops: mapping.read_trace().num_ops(),
             pass_mj: energy.total_mj(),
             pass_ns: energy.runtime_ns(),
@@ -225,36 +208,30 @@ fn measure_precision_sweep() -> Vec<PrecisionRow> {
 
 /// Measures the cost of the telemetry instrumentation on the serial
 /// tiled N3600 sweep: spans mode (every counter, gauge, histogram and
-/// span live) against off mode (one relaxed atomic load per site).
-/// Modes are interleaved per pass, best-of-`reps` each, like the kernel
-/// sweep — sequential measurement would fold machine drift into one
-/// side. Returns `(off, spans)` samples/sec.
+/// span live) against off mode (one relaxed atomic load per site),
+/// interleaved like the kernel sweep. Returns `(off, spans)` samples/sec.
 fn measure_telemetry_overhead(samples: usize, reps: usize) -> (f64, f64) {
-    let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(3600).with_timesteps(50));
-    net.train_epoch(&SynthDigits.generate(24, 1), 2);
-    let params = net.into_params();
-    let data = SynthDigits.generate(samples, 7);
+    let (params, data) = trained(3600, 24, samples);
     let eval = BatchEvaluator::with_threads(1)
         .with_batch(DEFAULT_BATCH)
         .with_kernel(KernelChoice::Scalar)
         .with_intra(IntraChoice::Off);
-    let mut best = [f64::MAX; 2];
-    for _ in 0..reps.max(1) {
-        for (slot, mode) in [telemetry::Mode::Off, telemetry::Mode::Spans]
-            .into_iter()
-            .enumerate()
-        {
-            telemetry::set_mode(mode);
-            let t = std::time::Instant::now();
-            std::hint::black_box(eval.spike_counts(&params, &data, 0x7A));
-            best[slot] = best[slot].min(t.elapsed().as_secs_f64());
-            // Drain the span-event buffer between passes so repeated
-            // spans-mode passes never hit the bounded-buffer overflow.
-            telemetry::reset();
-        }
-    }
+    let modes = [telemetry::Mode::Off, telemetry::Mode::Spans];
+    let best = interleaved_best(&modes, reps, |&mode| {
+        telemetry::set_mode(mode);
+        inference_pass(Some(eval), &params, &data);
+        // Drain the span-event buffer between passes so repeated
+        // spans-mode passes never hit the bounded-buffer overflow.
+        telemetry::reset();
+    });
     telemetry::set_mode(telemetry::Mode::Off);
     (data.len() as f64 / best[0], data.len() as f64 / best[1])
+}
+
+/// Fails the run unless `ratio >= floor`, printing both either way.
+fn gate(what: &str, ratio: f64, floor: f64) {
+    println!("gate {what}: {ratio:.3}x (floor {floor}x)");
+    assert!(ratio >= floor, "{what}: {ratio:.3}x is below {floor}x");
 }
 
 fn main() {
@@ -348,81 +325,55 @@ fn main() {
         outcome.energy.speedup()
     );
 
-    // Engine throughput: scalar (pre-split read path, B = 1) vs batched
-    // (effective-plane streaming, B = DEFAULT_BATCH), single worker, plus
-    // the machine-parallel batched figure.
-    let (scalar, batched, parallel) = measure_throughput();
-    let ratio = batched / scalar.max(f64::MIN_POSITIVE);
+    // Engine throughput: the reference `run_sample` vs the batched
+    // engine (B = DEFAULT_BATCH), single worker, plus the machine-parallel
+    // batched figure.
+    let (reference, batched, parallel) = measure_throughput();
+    let ratio = batched / reference.max(f64::MIN_POSITIVE);
     println!("inference throughput (N400, samples/sec):");
-    println!("  scalar   (1 thread, B=1)          : {scalar:8.1}");
+    println!("  run_sample (1 thread)             : {reference:8.1}");
     println!(
-        "  batched  (1 thread, B={DEFAULT_BATCH})          : {batched:8.1}  ({ratio:.2}x scalar)"
+        "  batched  (1 thread, B={DEFAULT_BATCH})          : {batched:8.1}  ({ratio:.2}x run_sample)"
     );
     println!("  batched  (machine threads, B={DEFAULT_BATCH})   : {parallel:8.1}");
 
-    // Drive-kernel scale sweep: scalar vs untiled vs serial tiled vs
-    // tiled+AVX2 vs intra-parallel tiled from the pipeline's N400 up to
-    // the paper's largest network. At N3600 the [B × n] drive slab is far
-    // out of L1; the tiled sweep keeps each [B × tile] strip L1-resident,
+    // Drive-kernel scale sweep from the pipeline's N400 up to the paper's
+    // largest network. At N3600 the [B × n] membrane slabs are far out of
+    // L1; the tiled sweep keeps each [B × tile] drive strip L1-resident,
     // the AVX2 kernel rides the same tiles with 8-lane bodies, and the
-    // intra sweep fans the tiles of each timestep out across pool workers
-    // (all bit-identical to the portable serial path by construction).
-    // The intra row runs at min(4, host cores) workers — pinned
-    // explicitly, so a serial-host row measures the *overhead* floor
-    // rather than silently falling back — and is skipped (null) only on
-    // single-core hosts where a 1-worker pin IS the serial sweep.
-    use sparkxd_snn::engine::DEFAULT_TILE;
+    // intra split fans the tiles of each timestep out across pool workers
+    // (all bit-identical by construction). The intra row runs at
+    // min(4, host cores) workers, pinned explicitly, and is skipped only
+    // on single-core hosts where a 1-worker pin IS the serial sweep.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let intra_workers = host_cores.min(4);
-    let sweep: Vec<BenchRow> = [(400usize, 64usize), (1600, 32), (3600, 16)]
+    let sweep: Vec<KernelRow> = [(400usize, 64usize), (1600, 32), (3600, 16)]
         .into_iter()
         .map(|(n, samples)| measure_kernels(n, samples, intra_workers))
         .collect();
+    let cell = |v: Option<f64>| v.map_or("n/a".into(), |v| format!("{v:.1}"));
+    let sweep_rows: String = sweep
+        .iter()
+        .map(|r| {
+            format!(
+                "| N{} | {:.1} | {:.1} | {:.1} | {} | {} |\n",
+                r.n_neurons,
+                r.reference,
+                r.untiled,
+                r.tiled,
+                cell(r.tiled_avx2),
+                cell(r.tiled_intra),
+            )
+        })
+        .collect();
+    let sweep_table = format!(
+        "| network | run_sample | untiled | tiled | tiled+avx2 | tiled+intra |\n\
+         |---|---|---|---|---|---|\n{sweep_rows}"
+    );
     println!(
         "drive kernels (1 thread, B={DEFAULT_BATCH}, tile {DEFAULT_TILE}, \
-         intra {intra_workers} workers, samples/sec):"
+         intra {intra_workers} workers, samples/sec):\n{sweep_table}"
     );
-    for row in &sweep {
-        let avx2 = match row.tiled_avx2 {
-            Some(v) => format!("{v:8.1}"),
-            None => "     n/a".into(),
-        };
-        let avx2_ratio = match row.speedup_avx2() {
-            Some(r) => format!(", avx2 {r:.2}x tiled"),
-            None => String::new(),
-        };
-        let intra = match row.tiled_intra {
-            Some(v) => format!("{v:8.1}"),
-            None => "     n/a".into(),
-        };
-        let intra_ratio = match row.speedup_intra() {
-            Some(r) => format!(", intra {r:.2}x tiled"),
-            None => String::new(),
-        };
-        println!(
-            "  N{:<5} scalar {:8.1}  untiled {:8.1}  tiled {:8.1}  tiled+avx2 {avx2}  \
-             tiled+intra {intra}  ({:.2}x untiled, {:.2}x scalar{avx2_ratio}{intra_ratio})",
-            row.n_neurons,
-            row.scalar,
-            row.untiled,
-            row.tiled,
-            row.speedup(),
-            row.speedup_vs_scalar()
-        );
-    }
-    let json = bench_json(
-        8,
-        "drive_kernels",
-        DEFAULT_TILE,
-        DEFAULT_BATCH,
-        intra_workers,
-        &sweep,
-    );
-    if write_bench_json("BENCH_8.json", &json) {
-        println!("wrote BENCH_8.json");
-    } else {
-        eprintln!("warning: could not write BENCH_8.json");
-    }
 
     // DRAM replay throughput: per-access reference vs compressed batch
     // path on the 78,400-column N400 weight-image trace.
@@ -441,31 +392,24 @@ fn main() {
     for row in &precisions {
         println!(
             "  {:<6} {:>9} bytes  {:>6} columns  {:>5} trace ops  {:.4} mJ  {:.0} ns",
-            row.precision, row.image_bytes, row.columns, row.trace_ops, row.pass_mj, row.pass_ns
+            row.precision.label(),
+            784 * 400 * row.precision.bytes_per_word(),
+            row.columns,
+            row.trace_ops,
+            row.pass_mj,
+            row.pass_ns
         );
     }
-    let pjson = precision_json(9, "precision_sweep", 400, &precisions);
-    if write_bench_json("BENCH_9.json", &pjson) {
-        println!("wrote BENCH_9.json");
-    } else {
-        eprintln!("warning: could not write BENCH_9.json");
-    }
 
-    // Telemetry overhead: the observation-only contract says spans-mode
-    // instrumentation sits only at coarse seams (per run_batch call, per
-    // replay — never per timestep), so the serial tiled N3600 sweep must
-    // keep essentially all of its telemetry-off throughput.
+    // Telemetry overhead: spans-mode instrumentation sits only at coarse
+    // seams (per run_batch call, per replay — never per timestep), so the
+    // serial tiled N3600 sweep must keep essentially all of its
+    // telemetry-off throughput.
     let (telem_off, telem_spans) = measure_telemetry_overhead(16, 4);
     let telem_ratio = telem_spans / telem_off.max(f64::MIN_POSITIVE);
     println!("telemetry overhead (N3600 serial tiled, samples/sec):");
     println!("  telemetry off                     : {telem_off:8.1}");
     println!("  telemetry spans                   : {telem_spans:8.1}  ({telem_ratio:.3}x off)");
-    let tjson = telemetry_overhead_json(3600, 16, telem_off, telem_spans);
-    if write_bench_json("BENCH_10.json", &tjson) {
-        println!("wrote BENCH_10.json");
-    } else {
-        eprintln!("warning: could not write BENCH_10.json");
-    }
 
     // Pool occupancy across every leg above (the global pool serves the
     // pipeline, the machine-parallel throughput row and the intra sweep).
@@ -482,157 +426,75 @@ fn main() {
          | accuracy @ operating point | {:.2}% |\n\
          | DRAM energy saving | {:.1}% |\n\
          | wall time (pipeline) | {:.1?} |\n\
-         | scalar throughput (1 thread, B=1) | {scalar:.1} samples/s |\n\
-         | batched throughput (1 thread, B={DEFAULT_BATCH}) | {batched:.1} samples/s ({ratio:.2}x scalar) |\n\
+         | run_sample throughput (1 thread) | {reference:.1} samples/s |\n\
+         | batched throughput (1 thread, B={DEFAULT_BATCH}) | {batched:.1} samples/s ({ratio:.2}x run_sample) |\n\
          | batched throughput (machine threads, B={DEFAULT_BATCH}) | {parallel:.1} samples/s |\n\
          | DRAM replay, per-access | {replay_per_access:.0} accesses/s |\n\
          | DRAM replay, compressed | {replay_compressed:.0} accesses/s ({replay_ratio:.1}x per-access) |\n\
-         | telemetry overhead (spans, N3600 tiled) | {telem_ratio:.3}x off (`BENCH_10.json` artifact) |\n\
-         | pool occupancy | busy peak {pool_peak} workers, {pool_dispatches} dispatches |",
+         | telemetry overhead (spans, N3600 tiled) | {telem_ratio:.3}x off |\n\
+         | pool occupancy | busy peak {pool_peak} workers, {pool_dispatches} dispatches |\n\n\
+         ### Drive kernels (1 thread, B={DEFAULT_BATCH}, tile {DEFAULT_TILE}, \
+         intra {intra_workers} workers, samples/s)\n\n{sweep_table}",
         outcome.baseline_accuracy * 100.0,
         outcome.accuracy_at_operating_point * 100.0,
         saving * 100.0,
         pipeline_wall,
     ));
-    let sweep_rows: String = sweep
-        .iter()
-        .map(|r| {
-            format!(
-                "| N{} | {:.1} | {:.1} | {:.1} | {} | {} | {:.2}x | {:.2}x | {} | {} |\n",
-                r.n_neurons,
-                r.scalar,
-                r.untiled,
-                r.tiled,
-                r.tiled_avx2.map_or("n/a".into(), |v| format!("{v:.1}")),
-                r.tiled_intra.map_or("n/a".into(), |v| format!("{v:.1}")),
-                r.speedup(),
-                r.speedup_vs_scalar(),
-                r.speedup_avx2()
-                    .map_or("n/a".into(), |v| format!("{v:.2}x")),
-                r.speedup_intra()
-                    .map_or("n/a".into(), |v| format!("{v:.2}x")),
-            )
-        })
-        .collect();
-    append_job_summary(&format!(
-        "### Drive kernels (1 thread, B={DEFAULT_BATCH}, tile {DEFAULT_TILE}, \
-         intra {intra_workers} workers, samples/s)\n\n\
-         | network | scalar | untiled | tiled | tiled+avx2 | tiled+intra | tiled/untiled | tiled/scalar | avx2/tiled | intra/tiled |\n\
-         |---|---|---|---|---|---|---|---|---|---|\n{sweep_rows}\n\
-         Machine-readable copy: `BENCH_8.json` artifact."
-    ));
-    let precision_rows: String = precisions
-        .iter()
-        .map(|r| {
-            format!(
-                "| {} | {} | {} | {} | {} | {:.4} | {:.0} |\n",
-                r.precision,
-                r.word_bits,
-                r.image_bytes,
-                r.columns,
-                r.trace_ops,
-                r.pass_mj,
-                r.pass_ns
-            )
-        })
-        .collect();
-    append_job_summary(&format!(
-        "### Storage precision sweep (N400 image pass, accurate DRAM)\n\n\
-         | precision | word bits | image bytes | columns | trace ops | pass mJ | pass ns |\n\
-         |---|---|---|---|---|---|---|\n{precision_rows}\n\
-         Machine-readable copy: `BENCH_9.json` artifact."
-    ));
+
     // Perf gates last, so a tripped bound never discards the summary the
     // diagnosis needs.
-    assert!(
-        replay_ratio > 2.0,
-        "compressed replay no longer pays for itself: {replay_ratio:.2}x"
-    );
-    // Packed-image traffic gate: the int8 N400 image must replay in at
-    // most 0.3x the FP32 trace's op count (quarter the columns, with
+    gate("compressed replay vs per-access", replay_ratio, 2.0);
+    // Packed-image traffic: the int8 N400 image must replay in at most
+    // 0.3x the FP32 trace's op count (quarter the columns, with
     // row-activation overhead bounded) and cost proportionally less.
-    let by_precision = |label: &str| {
-        precisions
-            .iter()
-            .find(|r| r.precision == label)
-            .expect("sweep covers all three formats")
-    };
-    let (fp32, int8) = (by_precision("fp32"), by_precision("int8"));
+    let (fp32, int8) = (&precisions[0], &precisions[2]);
+    let ops_ratio = int8.trace_ops as f64 / fp32.trace_ops as f64;
+    let energy_ratio = int8.pass_mj / fp32.pass_mj;
+    println!("gate int8 vs fp32 N400 pass: ops {ops_ratio:.3}x, energy {energy_ratio:.3}x (ceiling 0.3x)");
+    assert!(ops_ratio <= 0.3, "int8 replay ops {ops_ratio:.3}x fp32");
     assert!(
-        (int8.trace_ops as f64) <= 0.3 * fp32.trace_ops as f64,
-        "int8 N400 replay ops {} exceed 0.3x the FP32 trace's {}",
-        int8.trace_ops,
-        fp32.trace_ops
+        energy_ratio < 0.3,
+        "int8 pass energy {energy_ratio:.3}x fp32"
     );
-    assert!(
-        int8.pass_mj < 0.3 * fp32.pass_mj,
-        "int8 N400 pass energy {} mJ not under 0.3x FP32's {} mJ",
-        int8.pass_mj,
-        fp32.pass_mj
+    // N3600 floors. The batched tiled path sustains ~1.5-1.6x the
+    // run_sample reference on the reference container (interleaved
+    // best-of-4); 1.35x leaves margin for runner noise while still
+    // catching a real regression. Tiling itself is a wash against the
+    // untiled sweep on large-L2 parts and only pays on L1-constrained
+    // cores, so it gets a no-catastrophic-regression floor.
+    let n3600 = sweep.last().expect("sweep covers N3600");
+    gate(
+        "tiled vs run_sample at N3600",
+        n3600.tiled / n3600.reference,
+        1.35,
     );
-    // N3600 floors. The batched tiled path sustains ~1.5-1.6x the scalar
-    // read path on the reference container (interleaved best-of-4); 1.35x
-    // leaves margin for runner noise while still catching a real
-    // regression. Tiling itself is a wash against the untiled sweep on
-    // large-L2 parts (the whole N3600 working set fits a 2 MiB L2, and
-    // hardware prefetch hides the slab streaming) and only pays on
-    // L1-constrained cores, so it gets a no-catastrophic-regression floor
-    // rather than a speedup floor.
-    let n3600 = sweep
-        .iter()
-        .find(|r| r.n_neurons == 3600)
-        .expect("sweep covers N3600");
-    assert!(
-        n3600.speedup_vs_scalar() >= 1.35,
-        "batched tiled N3600 no longer clearly beats the scalar baseline: {:.2}x",
-        n3600.speedup_vs_scalar()
+    gate(
+        "tiled vs untiled at N3600",
+        n3600.tiled / n3600.untiled,
+        0.8,
     );
-    assert!(
-        n3600.speedup() >= 0.8,
-        "tiled N3600 sweep regressed badly vs untiled: {:.2}x",
-        n3600.speedup()
-    );
-    // AVX2 kernel floor. On the reference container the AVX2 kernel
-    // sustains ~1.15-1.26x the portable tiled sweep at N3600 (the
-    // portable row also gained the cross-row prefetch this round, so the
-    // in-run ratio is tighter than the ~1.3-1.4x the combined
-    // kernel+prefetch path shows over the previous portable-only
-    // baseline); 1.10x is the noise-margined in-run floor that still
-    // catches the SIMD path silently losing its advantage.
-    match n3600.speedup_avx2() {
-        Some(ratio) => assert!(
-            ratio >= 1.10,
-            "AVX2 N3600 kernel no longer clearly beats the portable tiled sweep: {ratio:.2}x"
-        ),
+    // AVX2 over the portable kernel: ~1.15-1.26x on the reference
+    // container; 1.10x still catches the SIMD path losing its advantage.
+    match n3600.tiled_avx2 {
+        Some(avx2) => gate("AVX2 vs portable at N3600", avx2 / n3600.tiled, 1.10),
         None => println!("AVX2 gate skipped: host reports no AVX2"),
     }
-    // Intra-parallel floor. At 4 workers the per-timestep tile fan-out
-    // must clearly beat the serial tiled sweep at N3600 (the occupancy
-    // headroom this sweep exists to claim); 1.4x leaves ~2.8x of the
-    // ideal 4x on the table for barrier cost and the serial
-    // commit/inhibition tail. The gate only means something when the
-    // host actually has 4 cores — an oversubscribed pin measures context
-    // switching, not occupancy — so, like the AVX2 gate, it is skipped
-    // (with the measured rows still recorded in BENCH_8.json) on smaller
-    // hosts.
-    match n3600.speedup_intra() {
-        Some(ratio) if intra_workers >= 4 => assert!(
-            ratio >= 1.4,
-            "intra-parallel tiled N3600 no longer clearly beats the serial tiled sweep \
-             at {intra_workers} workers: {ratio:.2}x"
-        ),
-        Some(ratio) => println!(
+    // Intra split over one job: at 4 workers the per-timestep tile
+    // fan-out must clearly beat the serial sweep (1.4x of the ideal 4x,
+    // leaving room for the barrier and the serial commit/inhibition
+    // tail). An oversubscribed pin measures context switching, not
+    // occupancy, so the gate needs 4 real cores.
+    match n3600.tiled_intra {
+        Some(intra) if intra_workers >= 4 => {
+            gate("intra vs one job at N3600", intra / n3600.tiled, 1.4)
+        }
+        Some(intra) => println!(
             "intra gate skipped: host has {host_cores} cores, need 4 \
-             (measured {ratio:.2}x at {intra_workers} workers)"
+             (measured {:.2}x at {intra_workers} workers)",
+            intra / n3600.tiled
         ),
         None => println!("intra gate skipped: single-core host"),
     }
-    // Telemetry overhead gate: spans mode must keep >= 0.97x of the
-    // telemetry-off tiled N3600 throughput — the "zero overhead when you
-    // aren't looking, negligible when you are" contract, enforced.
-    assert!(
-        telem_ratio >= 0.97,
-        "spans-mode telemetry costs too much at N3600: {telem_ratio:.3}x off-mode throughput"
-    );
+    gate("telemetry spans vs off at N3600", telem_ratio, 0.97);
     println!("nightly N400-N3600 check: OK");
 }

@@ -33,6 +33,8 @@ use sparkxd_serve::{
 };
 use sparkxd_snn::engine::{busy_peak, env_usize_override, BatchEvaluator, DEFAULT_BATCH};
 use sparkxd_snn::{DiehlCookNetwork, SnnConfig, WorkerPool};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -43,24 +45,36 @@ enum Scale {
     N400,
 }
 
-impl Scale {
-    /// Unset means demo; anything other than `demo`/`n400` is a hard
-    /// error — a CI typo must fail the job, not silently soak the wrong
-    /// scale under a correct-looking green check.
-    fn from_env() -> Self {
-        match std::env::var("SPARKXD_SERVE_SCALE").as_deref() {
-            Err(_) | Ok("demo") => Scale::Demo,
-            Ok("n400") => Scale::N400,
-            Ok(other) => {
-                eprintln!(
-                    "serve_load: unknown SPARKXD_SERVE_SCALE={other:?} \
-                     (expected \"demo\" or \"n400\")"
-                );
-                std::process::exit(2);
-            }
+impl FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(raw: &str) -> Result<Self, Self::Err> {
+        match raw {
+            "demo" => Ok(Scale::Demo),
+            "n400" => Ok(Scale::N400),
+            _ => Err("expected demo|n400"),
         }
     }
+}
 
+/// Reads knob `var`, `default` when unset. Anything unparsable is a hard
+/// error (exit 2), unlike the engine knobs: a CI typo must fail the job,
+/// not silently soak the wrong configuration under a green check.
+fn strict_knob<T>(var: &str, default: T) -> T
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    match std::env::var(var) {
+        Err(_) => default,
+        Ok(raw) => raw.trim().parse().unwrap_or_else(|err| {
+            eprintln!("serve_load: unparsable {var}={raw:?} ({err})");
+            std::process::exit(2);
+        }),
+    }
+}
+
+impl Scale {
     fn label(self) -> &'static str {
         match self {
             Scale::Demo => "demo",
@@ -190,16 +204,8 @@ fn dispatch_first_kernel_ns(use_pool: bool, reps: usize) -> u64 {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    // Same policy as Scale::from_env: an unparsable knob is a hard error,
-    // never a silent fallback to a correct-looking default.
-    let seed = match std::env::var("SPARKXD_SERVE_SEED") {
-        Err(_) => 42,
-        Ok(raw) => raw.trim().parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("serve_load: unparsable SPARKXD_SERVE_SEED={raw:?} (expected a u64)");
-            std::process::exit(2);
-        }),
-    };
+    let scale = strict_knob("SPARKXD_SERVE_SCALE", Scale::Demo);
+    let seed = strict_knob("SPARKXD_SERVE_SEED", 42u64);
     let requests = env_usize_override("SPARKXD_SERVE_REQUESTS").unwrap_or(match scale {
         Scale::Demo => 400,
         Scale::N400 => 256,

@@ -20,13 +20,10 @@ pub mod scale;
 pub mod table;
 pub mod telemetry_report;
 
-pub use report::{
-    append_job_summary, bench_json, paper_sections, precision_json, run_sections,
-    run_sections_with, write_bench_json, BenchRow, PrecisionRow, Section,
-};
+pub use report::{append_job_summary, paper_sections, run_sections, run_sections_with, Section};
 pub use scale::Scale;
 pub use table::TextTable;
-pub use telemetry_report::{telemetry_overhead_json, telemetry_summary, telemetry_table};
+pub use telemetry_report::{telemetry_summary, telemetry_table};
 
 #[cfg(test)]
 mod tests {

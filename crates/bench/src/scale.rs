@@ -1,5 +1,8 @@
 //! Experiment scaling: demo (CPU-minutes) vs paper (paper-faithful sizes).
 
+use sparkxd_telemetry::env_knob;
+use std::str::FromStr;
+
 /// Knobs shared by the accuracy experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scale {
@@ -55,17 +58,28 @@ impl Scale {
         }
     }
 
-    /// Reads `SPARKXD_SCALE` (`demo` default, `paper` for full size).
+    /// Reads `SPARKXD_SCALE` (`demo` default, `paper` for full size);
+    /// any other value warns once and runs at demo scale.
     pub fn from_env() -> Self {
-        match std::env::var("SPARKXD_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            _ => Self::demo(),
-        }
+        env_knob("SPARKXD_SCALE").unwrap_or_default()
     }
 
     /// The BER points of the paper's Figs. 8/11 x-axis (1e-9 … 1e-3).
     pub fn ber_points(&self) -> Vec<f64> {
         vec![1e-9, 1e-7, 1e-5, 1e-4, 1e-3]
+    }
+}
+
+/// Parses a `SPARKXD_SCALE` value.
+impl FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(raw: &str) -> Result<Self, Self::Err> {
+        match raw {
+            "demo" => Ok(Self::demo()),
+            "paper" => Ok(Self::paper()),
+            _ => Err("expected demo|paper"),
+        }
     }
 }
 
@@ -86,6 +100,14 @@ mod tests {
             Scale::paper().network_sizes,
             vec![400, 900, 1600, 2500, 3600]
         );
+    }
+
+    #[test]
+    fn scale_parses_its_two_labels_only() {
+        assert_eq!("demo".parse(), Ok(Scale::demo()));
+        assert_eq!("paper".parse(), Ok(Scale::paper()));
+        assert!("Paper".parse::<Scale>().is_err());
+        assert!("full".parse::<Scale>().is_err());
     }
 
     #[test]

@@ -71,31 +71,6 @@ pub fn telemetry_summary() -> Option<String> {
     telemetry_table(&TelemetrySnapshot::capture())
 }
 
-/// Renders the nightly telemetry-overhead measurement as the
-/// machine-readable `BENCH_10.json` document. Hand-formatted like
-/// [`crate::bench_json`] — the workspace carries no serialisation
-/// dependency — with the shape locked by a test below.
-pub fn telemetry_overhead_json(
-    n_neurons: usize,
-    samples: usize,
-    off_samples_per_sec: f64,
-    spans_samples_per_sec: f64,
-) -> String {
-    let ratio = if off_samples_per_sec > 0.0 {
-        spans_samples_per_sec / off_samples_per_sec
-    } else {
-        0.0
-    };
-    format!(
-        "{{\n  \"issue\": 10,\n  \"bench\": \"telemetry_overhead\",\n  \
-         \"unit\": \"samples_per_sec\",\n  \"n_neurons\": {n_neurons},\n  \
-         \"samples\": {samples},\n  \"rows\": [\n    \
-         {{\"mode\": \"off\", \"samples_per_sec\": {off_samples_per_sec:.1}}},\n    \
-         {{\"mode\": \"spans\", \"samples_per_sec\": {spans_samples_per_sec:.1}, \
-         \"ratio_vs_off\": {ratio:.3}}}\n  ]\n}}\n"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,32 +119,6 @@ mod tests {
                 "missing {needle} in:\n{rendered}"
             );
         }
-    }
-
-    #[test]
-    fn overhead_json_has_the_locked_shape() {
-        let json = telemetry_overhead_json(3600, 16, 100.0, 98.5);
-        for needle in [
-            "\"issue\": 10",
-            "\"bench\": \"telemetry_overhead\"",
-            "\"unit\": \"samples_per_sec\"",
-            "\"n_neurons\": 3600",
-            "\"samples\": 16",
-            "\"mode\": \"off\", \"samples_per_sec\": 100.0",
-            "\"mode\": \"spans\", \"samples_per_sec\": 98.5",
-            "\"ratio_vs_off\": 0.985",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "unbalanced JSON:\n{json}");
-        assert!(json.ends_with("}\n"));
-    }
-
-    #[test]
-    fn overhead_json_survives_a_broken_baseline() {
-        assert!(telemetry_overhead_json(3600, 16, 0.0, 50.0).contains("\"ratio_vs_off\": 0.000"));
     }
 
     #[test]

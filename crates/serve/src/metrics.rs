@@ -159,22 +159,22 @@ impl MetricsSnapshot {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample set (`0` when
-/// empty). `q` is a fraction in `[0, 1]`. This is the exact reference
-/// the histogram-backed snapshot percentiles approximate; the
-/// regression tests below pin where the two agree bit-for-bit (empty,
-/// single sample, all-equal).
-pub fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted_ns.len() as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, sorted_ns.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Nearest-rank percentile of an ascending-sorted sample set (`0` when
+    /// empty). `q` is a fraction in `[0, 1]`. This is the exact reference
+    /// the histogram-backed snapshot percentiles approximate; the
+    /// tests below pin where the two agree bit-for-bit (empty,
+    /// single sample, all-equal).
+    fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
+        if sorted_ns.is_empty() {
+            return 0;
+        }
+        let rank = (q * sorted_ns.len() as f64).ceil() as usize;
+        sorted_ns[rank.clamp(1, sorted_ns.len()) - 1]
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

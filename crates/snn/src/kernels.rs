@@ -91,7 +91,7 @@
 //! `x.max(floor)` for every `x` (including NaN) provided `floor` itself
 //! is a non-NaN value that is not a signed zero — always true for the
 //! model's floor of [`LifConfig::inhibition_floor`] (strictly below
-//! `v_reset`). `tests/kernel_invariance.rs` proves the equivalence
+//! `v_reset`). `tests/engine_invariance.rs` proves the equivalence
 //! empirically across NaN/Inf/negative/denormal inputs and every tail
 //! alignment.
 
@@ -118,19 +118,21 @@ pub enum KernelChoice {
     Avx2,
 }
 
-impl KernelChoice {
-    /// Parses a `SPARKXD_KERNEL` value (case-insensitive, surrounding
-    /// whitespace ignored). Returns `None` for anything that is not
-    /// `auto`, `scalar` or `avx2` — the caller decides how to warn.
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(Self::Auto),
-            "scalar" => Some(Self::Scalar),
-            "avx2" => Some(Self::Avx2),
-            _ => None,
+/// Parses a `SPARKXD_KERNEL` value, case-insensitively.
+impl std::str::FromStr for KernelChoice {
+    type Err = &'static str;
+
+    fn from_str(raw: &str) -> Result<Self, Self::Err> {
+        match raw.to_ascii_lowercase().as_str() {
+            "auto" => Ok(Self::Auto),
+            "scalar" => Ok(Self::Scalar),
+            "avx2" => Ok(Self::Avx2),
+            _ => Err("expected auto|scalar|avx2"),
         }
     }
+}
 
+impl KernelChoice {
     /// Resolves the request against the host's actual features. `Auto`
     /// picks AVX2 when available; an explicit `Avx2` request on a host
     /// without it warns once on stderr and degrades to [`Kernel::Scalar`]
@@ -149,12 +151,13 @@ impl KernelChoice {
                 if avx2_supported() {
                     Kernel::Avx2
                 } else {
-                    if crate::engine::warn_once("SPARKXD_KERNEL:avx2-unavailable") {
+                    static WARNED: std::sync::Once = std::sync::Once::new();
+                    WARNED.call_once(|| {
                         eprintln!(
                             "sparkxd: SPARKXD_KERNEL=avx2 requested but this host \
                              has no AVX2; using the portable scalar kernel"
                         );
-                    }
+                    });
                     Kernel::Scalar
                 }
             }
@@ -1059,17 +1062,17 @@ mod tests {
 
     #[test]
     fn choice_parses_canonical_spellings() {
-        assert_eq!(KernelChoice::parse("auto"), Some(KernelChoice::Auto));
-        assert_eq!(KernelChoice::parse("scalar"), Some(KernelChoice::Scalar));
-        assert_eq!(KernelChoice::parse("avx2"), Some(KernelChoice::Avx2));
-        assert_eq!(KernelChoice::parse("  AVX2 "), Some(KernelChoice::Avx2));
-        assert_eq!(KernelChoice::parse("Scalar"), Some(KernelChoice::Scalar));
+        assert_eq!("auto".parse(), Ok(KernelChoice::Auto));
+        assert_eq!("scalar".parse(), Ok(KernelChoice::Scalar));
+        assert_eq!("avx2".parse(), Ok(KernelChoice::Avx2));
+        assert_eq!("AVX2".parse(), Ok(KernelChoice::Avx2));
+        assert_eq!("Scalar".parse(), Ok(KernelChoice::Scalar));
     }
 
     #[test]
     fn choice_rejects_unknown_spellings() {
         for raw in ["", "sse", "avx512", "scalar,avx2", "1", "wide"] {
-            assert_eq!(KernelChoice::parse(raw), None, "raw={raw:?}");
+            assert!(raw.parse::<KernelChoice>().is_err(), "raw={raw:?}");
         }
     }
 
@@ -1095,7 +1098,7 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for choice in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Avx2] {
-            assert_eq!(KernelChoice::parse(choice.name()), Some(choice));
+            assert_eq!(choice.name().parse(), Ok(choice));
         }
         assert_eq!(Kernel::Scalar.name(), "scalar");
         assert_eq!(Kernel::Avx2.name(), "avx2");
@@ -1137,7 +1140,7 @@ mod tests {
     fn kernels_agree_bitwise_on_every_tail_alignment() {
         // Kernel-level equivalence across all `n % 8` tails, including
         // lengths shorter than one vector. The full-pipeline sweep lives
-        // in tests/kernel_invariance.rs.
+        // in tests/engine_invariance.rs.
         for kernel in Kernel::available() {
             for len in 0..=19usize {
                 let drive0 = nasty_lanes(len, 3);

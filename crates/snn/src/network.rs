@@ -57,6 +57,7 @@ use crate::SnnError;
 use rand::rngs::StdRng;
 use sparkxd_data::Dataset;
 use std::ops::Range;
+use std::slice;
 use std::time::{Duration, Instant};
 
 /// Complete configuration of a [`DiehlCookNetwork`].
@@ -266,11 +267,17 @@ impl NetworkParams {
 
     /// Presents one image for `config.timesteps` steps without learning.
     ///
-    /// This is the scalar reference path: it reads the stored weights
-    /// through the synapse rule on every access. `state` is reset at
-    /// entry, so any (correctly sized) scratch can be reused across
-    /// samples and threads; `self` is untouched. Returns the per-neuron
-    /// spike counts.
+    /// This is the reference path that [`run_batch`](Self::run_batch)
+    /// is proven against, not an engine path: it reads the stored weights
+    /// through the synapse rule on every access (no
+    /// [`EffectivePlane`], no row merge, no tiles) and shares its drive
+    /// and LIF step with training. The invariance suite, the serving
+    /// offline check and the benchmark's correctness check all compare
+    /// against it, so it must stay independent of `run_batch`.
+    ///
+    /// `state` is reset at entry, so any (correctly sized) scratch can be
+    /// reused across samples and threads; `self` is untouched. Returns
+    /// the per-neuron spike counts.
     ///
     /// # Errors
     ///
@@ -297,42 +304,40 @@ impl NetworkParams {
     }
 
     /// Presents a chunk of `samples` together for `config.timesteps`
-    /// steps without learning, one RNG stream per sample.
+    /// steps without learning, one RNG stream per sample. This is the
+    /// engine's one inference path, for every batch size including 1.
     ///
-    /// Drive accumulation is batched **and neuron-tiled**: each timestep
-    /// records a k-way merge of the samples' sorted active lists once
-    /// (each distinct active row in ascending order, with the batch
-    /// members that spiked on it; rows whose effective fan-out is all
-    /// zero are skipped), then sweeps the `[B × n_neurons]` drive matrix
-    /// in neuron tiles. Within a tile, every merged row's tile slice is
-    /// streamed into the `[B × tile]` drive tile and the tile's membrane
-    /// lanes are integrated immediately while the drive is hot — so the
-    /// resident working set is the tile, not the full slab, and N3600
-    /// runs as cache-friendly as N400. Firing resolution and lateral
-    /// inhibition then run per sample over the full population (hard WTA
-    /// and inhibition strength are global decisions).
+    /// Each timestep records a k-way merge of the samples' sorted active
+    /// lists once (each distinct active row in ascending order, with the
+    /// batch members that spiked on it; rows whose effective fan-out is
+    /// all zero are skipped), then sweeps the neurons in tiles. Within a
+    /// tile, every merged row's tile slice is streamed once into a
+    /// `[B × tile]` drive scratch for all its members, and the tile's
+    /// membrane lanes are integrated immediately while the drive is hot,
+    /// so the resident working set is the tile, not the full population.
+    /// Firing resolution and lateral inhibition then run per sample over
+    /// the full population (hard WTA and inhibition strength are global
+    /// decisions).
     ///
     /// The tile width comes from [`BatchState::with_tile`] if pinned, else
     /// the `SPARKXD_TILE` override / [`DEFAULT_TILE`](crate::engine::DEFAULT_TILE)
     /// (via [`tile_width`](crate::engine::tile_width)), clamped into
-    /// `[1, n_neurons]`; any width ≥ `n_neurons` is exactly the untiled
-    /// single-sweep path.
+    /// `[1, n_neurons]`.
     ///
-    /// The per-timestep tile sweep can additionally fan out across the
-    /// persistent [`WorkerPool`](crate::engine::WorkerPool)
-    /// ([`BatchState::with_intra`] / `SPARKXD_INTRA`): contiguous tile
-    /// ranges are assigned to range-jobs that write disjoint neuron
-    /// lanes of every `[B × n]` slab, with a barrier before the
-    /// (unchanged, global-per-sample) firing-commit/inhibition pass.
-    /// The sweep stays serial when fewer than two tiles exist or the
-    /// global thread budget is exhausted.
+    /// The tiles are split into contiguous range-jobs, one per intra-chunk
+    /// worker ([`BatchState::with_intra`] / `SPARKXD_INTRA`). One job runs
+    /// inline on the caller; more run on the persistent
+    /// [`WorkerPool`](crate::engine::WorkerPool), each with its own drive
+    /// scratch and disjoint neuron lanes, and the pool call is the barrier
+    /// before the firing pass. There is one job when fewer than two tiles
+    /// exist or the global thread budget is exhausted.
     ///
     /// Because sample `b` only ever consumes `rngs[b]`, per-sample
-    /// accumulation visits rows in the same ascending order as the scalar
-    /// path within every tile, and each membrane lane's arithmetic is
-    /// independent of the tile partition, the returned spike counts are
-    /// **bit-identical to [`run_sample`](Self::run_sample)** with the
-    /// same RNG, for any batch size and any tile width.
+    /// accumulation visits rows in the same ascending order as
+    /// [`run_sample`](Self::run_sample), and each membrane lane's
+    /// arithmetic is independent of the tile partition, the returned spike
+    /// counts are **bit-identical to `run_sample`** with the same RNG, for
+    /// any batch size, tile width, job count and kernel.
     ///
     /// # Errors
     ///
@@ -365,21 +370,17 @@ impl NetworkParams {
             .min(n.max(1))
             .max(1);
         let kernel = state.kernel.unwrap_or_else(crate::engine::kernel);
-        // Resolve the intra-chunk sweep mode once per presented chunk: the
-        // worker count claims its share of the global thread budget for
-        // the duration of the call (released on return), and the tile list
-        // is pre-split into contiguous ranges — one deterministic
-        // range-job per worker slot, no work stealing across the
-        // reduction. Fewer than two tiles, `off`, or an exhausted budget
-        // all leave `tile_jobs` empty and the sweep serial.
+        // Resolve the sweep's job count once per presented chunk: the
+        // intra-chunk workers claim their share of the global thread
+        // budget for the duration of the call (released on return), and
+        // the tile list is pre-split into contiguous ranges — one
+        // deterministic range-job per worker slot. Fewer than two tiles,
+        // `off`, or an exhausted budget leave one job on the caller.
         let n_tiles = n.div_ceil(tile);
         let intra = state.intra.unwrap_or_else(crate::engine::intra_choice);
         let (intra_workers, _intra_budget) = crate::engine::intra_workers_for(intra, n_tiles);
-        let tile_jobs: Vec<Range<usize>> = if intra_workers > 1 {
-            crate::engine::chunk_ranges(n_tiles, intra_workers)
-        } else {
-            Vec::new()
-        };
+        let tile_jobs = crate::engine::chunk_ranges(n_tiles, intra_workers);
+        let jobs = tile_jobs.len();
         // Observation only, and counter-cheap on purpose: one span and
         // a handful of adds per presented chunk (never per timestep —
         // the tile total is `timesteps × n_tiles` computed up front).
@@ -388,15 +389,19 @@ impl NetworkParams {
         sparkxd_telemetry::counter_add!("engine.samples", b_count);
         sparkxd_telemetry::counter_add!("engine.timesteps", self.config.timesteps);
         sparkxd_telemetry::counter_add!("engine.tiles_swept", self.config.timesteps * n_tiles);
-        if !tile_jobs.is_empty() {
+        if jobs > 1 {
             sparkxd_telemetry::counter_add!("engine.intra_fanouts", 1);
-            sparkxd_telemetry::gauge_max!("engine.intra_workers", tile_jobs.len());
+            sparkxd_telemetry::gauge_max!("engine.intra_workers", jobs);
         }
         // Per-pixel spike thresholds are a pure function of the sample:
         // compute them once per presentation instead of once per timestep.
         for (b, pixels) in samples.iter().enumerate() {
             self.config.encoder.plan(pixels, &mut state.plans[b]);
         }
+        // Drive is only read inside its own tile, so each job sweeps
+        // through a private `[B × tile]` scratch.
+        state.drive.resize(jobs * b_count * tile, 0.0);
+        state.job_any.resize(jobs * b_count, false);
         // Disjoint borrows of the scratch fields, so the tile sweep can
         // read the recorded merge while writing the drive/membrane slabs.
         let BatchState {
@@ -412,9 +417,8 @@ impl NetworkParams {
             member_starts,
             members_flat,
             crossed,
-            any_crossed,
             fired,
-            intra_any,
+            job_any,
             tile: _,
             kernel: _,
             intra: _,
@@ -460,93 +464,42 @@ impl NetworkParams {
                 }
             }
             member_starts.push(members_flat.len());
-            // Neuron-tile sweep: zero, accumulate and integrate one
-            // `[B × tile]` drive tile at a time. Each merged row's tile
-            // slice is loaded once — the fused multi-member kernel pass
-            // keeps it in registers across every member of the batch that
-            // spiked on it (the multi-bank burst analogue) — and the
-            // tile's lanes are integrated before the sweep moves on.
-            any_crossed[..b_count].fill(false);
-            if tile_jobs.len() > 1 {
-                // Intra-chunk parallel sweep: each range-job owns a
-                // contiguous, tile-aligned neuron-lane range of every
-                // slab — disjoint writes by construction — and records
-                // its crossing flags in its own `intra_any` slot (per
-                // *job*, not per thread, so the OR-reduction below is
-                // deterministic). The pool call is the barrier: firing
-                // commit / inhibition below never observes a partial
-                // sweep, so results are bit-identical to the serial
-                // sweep for any split (see tests/intra_invariance.rs).
-                intra_any.clear();
-                intra_any.resize(tile_jobs.len() * b_count, false);
-                let slabs = IntraSlabs {
-                    v: v.as_mut_ptr(),
-                    theta: theta.as_mut_ptr(),
-                    refractory: refractory.as_mut_ptr(),
-                    drive: drive.as_mut_ptr(),
-                    crossed: crossed.as_mut_ptr(),
-                    any: intra_any.as_mut_ptr(),
-                };
-                let merged: &[usize] = merged_rows;
-                let starts: &[usize] = member_starts;
-                let flat: &[usize] = members_flat;
-                let sweep = |part: usize| {
-                    let tiles = &tile_jobs[part];
-                    let lanes = tiles.start * tile..(tiles.end * tile).min(n);
-                    // SAFETY: `tile_jobs` ranges are disjoint and
-                    // tile-aligned, so concurrent jobs touch disjoint
-                    // `[b*n + lane]` elements; the slab pointers cover
-                    // `b_count * n` lanes (`any`: jobs × b_count) and
-                    // outlive the pool barrier below.
-                    unsafe {
-                        sweep_lane_range(
-                            self, kernel, slabs, n, b_count, tile, lanes, part, merged, starts,
-                            flat,
-                        );
-                    }
-                };
-                crate::engine::WorkerPool::global().run(
-                    tile_jobs.len(),
-                    tile_jobs.len() - 1,
-                    &sweep,
-                );
-                for (b, any) in any_crossed.iter_mut().enumerate().take(b_count) {
-                    *any = (0..tile_jobs.len()).any(|p| intra_any[p * b_count + b]);
+            let slabs = SweepSlabs {
+                v: v.as_mut_ptr(),
+                theta: theta.as_mut_ptr(),
+                refractory: refractory.as_mut_ptr(),
+                drive: drive.as_mut_ptr(),
+                crossed: crossed.as_mut_ptr(),
+                any: job_any.as_mut_ptr(),
+            };
+            let merge = MergedRows {
+                rows: merged_rows,
+                starts: member_starts,
+                members: members_flat,
+            };
+            let sweep = |part: usize| {
+                // SAFETY: `tile_jobs` ranges are disjoint and tile-aligned
+                // and every job has its own `part`, so concurrent jobs
+                // touch disjoint slab elements; the slabs were sized above
+                // and outlive the pool call, which is the barrier before
+                // the firing pass below.
+                unsafe {
+                    sweep_tiles(
+                        self,
+                        kernel,
+                        slabs,
+                        b_count,
+                        tile,
+                        tile_jobs[part].clone(),
+                        part,
+                        &merge,
+                    );
                 }
-            } else {
-                let mut t0 = 0;
-                while t0 < n {
-                    let t1 = (t0 + tile).min(n);
-                    for b in 0..b_count {
-                        drive[b * n + t0..b * n + t1].fill(0.0);
-                    }
-                    for (ri, &row) in merged_rows.iter().enumerate() {
-                        if let Some(&next) = merged_rows.get(ri + 1) {
-                            crate::kernels::prefetch_lanes(&self.plane.row(next)[t0..t1]);
-                        }
-                        let row_tile = &self.plane.row(row)[t0..t1];
-                        let members = &members_flat[member_starts[ri]..member_starts[ri + 1]];
-                        kernel.accumulate_members(drive, n, t0, members, row_tile);
-                    }
-                    for (b, any) in any_crossed.iter_mut().enumerate().take(b_count) {
-                        let lanes = b * n + t0..b * n + t1;
-                        *any |= kernel.integrate_lanes(
-                            &self.config.lif,
-                            self.config.dt_ms,
-                            LifLanes {
-                                v: &mut v[lanes.clone()],
-                                theta: &mut theta[lanes.clone()],
-                                refractory: &mut refractory[lanes.clone()],
-                                drive: &drive[lanes.clone()],
-                                crossed: &mut crossed[lanes],
-                            },
-                        );
-                    }
-                    t0 = t1;
-                }
-            }
+            };
+            // One job runs inline on the caller; more go to the pool.
+            crate::engine::WorkerPool::global().run(jobs, jobs - 1, &sweep);
             for (b, sample_counts) in counts.iter_mut().enumerate() {
-                if !any_crossed[b] {
+                if !(0..jobs).any(|part| job_any[part * b_count + b]) {
                     // No lane reached threshold: nothing fires and
                     // inhibition is a no-op for this sample this step.
                     continue;
@@ -568,114 +521,104 @@ impl NetworkParams {
     }
 }
 
-/// Raw slab pointers of the intra-parallel sweep, `Copy` so every
-/// range-job captures the same view without borrowing the scratch.
-///
-/// Safety rests on the partition: jobs write only their own disjoint,
-/// tile-aligned lane ranges (and their own `any` slot), enforced by
-/// [`sweep_lane_range`]'s contract.
+/// Raw slab pointers of the tile sweep, `Copy` so every range-job
+/// captures the same view without borrowing the scratch.
 #[derive(Clone, Copy)]
-struct IntraSlabs {
+struct SweepSlabs {
+    /// `[B × n]` membrane slabs, sample-major.
     v: *mut f32,
     theta: *mut f32,
     refractory: *mut f32,
-    drive: *mut f32,
     crossed: *mut bool,
+    /// `jobs × [B × tile]` drive scratch, one block per job.
+    drive: *mut f32,
+    /// `jobs × B` crossing flags, one slot per (job, sample).
     any: *mut bool,
 }
 
-// SAFETY: the pointers target `BatchState` slabs that outlive the pool
-// barrier in `run_batch`, and concurrent jobs dereference disjoint lane
-// ranges only (see `sweep_lane_range`).
-unsafe impl Send for IntraSlabs {}
-unsafe impl Sync for IntraSlabs {}
+// SAFETY: every field points into a `BatchState` slab that outlives the
+// pool call in `run_batch`, and concurrent jobs dereference disjoint
+// elements of each only (the `# Safety` contract of `sweep_tiles`).
+unsafe impl Send for SweepSlabs {}
+unsafe impl Sync for SweepSlabs {}
 
-/// One range-job of the intra-parallel tile sweep: zero → accumulate →
-/// integrate over `lanes` (a tile-aligned neuron-lane range), recording
-/// this job's per-sample crossing flags in `any[part * b_count + b]`.
+/// One timestep's recorded k-way merge: each distinct live active row in
+/// ascending order, with the batch members that spiked on it
+/// (`members[starts[i]..starts[i + 1]]` for `rows[i]`).
+struct MergedRows<'a> {
+    rows: &'a [usize],
+    starts: &'a [usize],
+    members: &'a [usize],
+}
+
+/// One range-job of the tile sweep: for each tile in `tiles`, zero the
+/// job's `[B × tile]` drive scratch, stream every merged row's tile slice
+/// into it (the fused multi-member pass loads the slice once and adds it
+/// to every member that spiked on the row), then integrate the tile's
+/// membrane lanes while the drive is hot. Records whether any lane of
+/// sample `b` crossed threshold in `any[part * b_count + b]`.
 ///
-/// The job replays the exact serial sweep over its tiles — identical tile
-/// boundaries (`lanes` starts and ends on global tile multiples), the
-/// same ascending merged-row order per lane, the same kernel ops — so the
-/// result is bit-identical to the serial path for any range split.
+/// Tile boundaries are global multiples of `tile`, rows are visited in
+/// ascending order per lane and each lane's arithmetic is independent of
+/// its neighbours, so the result is bit-identical for any split of the
+/// tiles into jobs.
 ///
 /// # Safety
 ///
-/// Every concurrent call must receive a distinct `part` and a disjoint
-/// `lanes` range; the slab pointers must cover `b_count * n` elements
-/// (`any`: `parts * b_count`) and stay valid for the duration of the
-/// call.
+/// Concurrent calls must receive distinct `part`s and disjoint `tiles`
+/// ranges. The membrane slabs must hold `b_count × n_neurons` elements,
+/// the drive scratch `(part + 1) × b_count × tile`, the flags
+/// `(part + 1) × b_count`, and all of them must stay valid for the call.
 #[allow(clippy::too_many_arguments)]
-unsafe fn sweep_lane_range(
+unsafe fn sweep_tiles(
     params: &NetworkParams,
     kernel: Kernel,
-    slabs: IntraSlabs,
-    n: usize,
+    slabs: SweepSlabs,
     b_count: usize,
     tile: usize,
-    lanes: Range<usize>,
+    tiles: Range<usize>,
     part: usize,
-    merged_rows: &[usize],
-    member_starts: &[usize],
-    members_flat: &[usize],
+    merge: &MergedRows<'_>,
 ) {
-    // Disjoint-slice reconstruction: each call builds `&mut` slices only
-    // for `[b*n + t0, b*n + t1)` with `[t0, t1) ⊆ lanes`, so no two live
-    // `&mut` ever alias across jobs.
-    let lane_mut = |ptr: *mut f32, base: usize, len: usize| unsafe {
-        std::slice::from_raw_parts_mut(ptr.add(base), len)
+    let n = params.config.n_neurons;
+    // SAFETY: the drive block and flag slots indexed by `part` belong to
+    // this job alone and lie inside the sizes `# Safety` requires.
+    let (drive, any) = unsafe {
+        (
+            slice::from_raw_parts_mut(slabs.drive.add(part * b_count * tile), b_count * tile),
+            slice::from_raw_parts_mut(slabs.any.add(part * b_count), b_count),
+        )
     };
-    let mut t0 = lanes.start;
-    while t0 < lanes.end {
-        let t1 = (t0 + tile).min(lanes.end);
+    any.fill(false);
+    for t in tiles {
+        let t0 = t * tile;
+        let t1 = (t0 + tile).min(n);
         let len = t1 - t0;
-        for b in 0..b_count {
-            lane_mut(slabs.drive, b * n + t0, len).fill(0.0);
-        }
-        for (ri, &row) in merged_rows.iter().enumerate() {
-            if let Some(&next) = merged_rows.get(ri + 1) {
-                // Prefetch is per-worker now: each job hints only its own
-                // tile slice of the next row, keeping the hints inside
-                // the lanes this thread will actually stream.
+        drive.fill(0.0);
+        for (ri, &row) in merge.rows.iter().enumerate() {
+            if let Some(&next) = merge.rows.get(ri + 1) {
                 crate::kernels::prefetch_lanes(&params.plane.row(next)[t0..t1]);
             }
             let row_tile = &params.plane.row(row)[t0..t1];
-            let members = &members_flat[member_starts[ri]..member_starts[ri + 1]];
-            for &b in members {
-                // Single-destination accumulate: stride 0 with the one
-                // member at offset 0 is exactly `dst += row_tile` — the
-                // same per-lane adds, in the same ascending-row order,
-                // that the fused serial call makes for this member.
-                kernel.accumulate_members(
-                    lane_mut(slabs.drive, b * n + t0, len),
-                    0,
-                    0,
-                    &[0],
-                    row_tile,
-                );
-            }
+            let members = &merge.members[merge.starts[ri]..merge.starts[ri + 1]];
+            kernel.accumulate_members(drive, tile, 0, members, row_tile);
         }
-        for b in 0..b_count {
+        for (b, any) in any.iter_mut().enumerate() {
             let base = b * n + t0;
-            let any = kernel.integrate_lanes(
-                &params.config.lif,
-                params.config.dt_ms,
+            // SAFETY: lanes `[base, base + len)` are tile `t` of sample
+            // `b`'s slab: inside the `b_count × n_neurons` slabs, and in
+            // this job's own disjoint tile range.
+            let lanes = unsafe {
                 LifLanes {
-                    v: lane_mut(slabs.v, base, len),
-                    theta: lane_mut(slabs.theta, base, len),
-                    refractory: lane_mut(slabs.refractory, base, len),
-                    drive: lane_mut(slabs.drive, base, len),
-                    crossed: unsafe {
-                        std::slice::from_raw_parts_mut(slabs.crossed.add(base), len)
-                    },
-                },
-            );
-            if any {
-                // One flag slot per (job, sample): only this job writes it.
-                unsafe { *slabs.any.add(part * b_count + b) = true };
-            }
+                    v: slice::from_raw_parts_mut(slabs.v.add(base), len),
+                    theta: slice::from_raw_parts_mut(slabs.theta.add(base), len),
+                    refractory: slice::from_raw_parts_mut(slabs.refractory.add(base), len),
+                    drive: &drive[b * tile..b * tile + len],
+                    crossed: slice::from_raw_parts_mut(slabs.crossed.add(base), len),
+                }
+            };
+            *any |= kernel.integrate_lanes(&params.config.lif, params.config.dt_ms, lanes);
         }
-        t0 = t1;
     }
 }
 
@@ -966,7 +909,8 @@ pub struct BatchState {
     theta: Vec<f32>,
     /// Remaining refractory times, sample-major.
     refractory: Vec<f32>,
-    /// Synaptic drive matrix, sample-major.
+    /// Drive scratch of the tile sweep: one `[B × tile]` block per
+    /// range-job, sample-major within a block.
     drive: Vec<f32>,
     /// Per-sample active input lines this timestep (sorted ascending).
     active: Vec<Vec<usize>>,
@@ -988,18 +932,16 @@ pub struct BatchState {
     /// tiles integrate lane-by-lane, firing resolves per sample after the
     /// sweep.
     crossed: Vec<bool>,
-    /// Per-sample "any lane crossed this timestep" flags, OR-accumulated
-    /// across tiles so quiet samples skip firing/inhibition entirely.
-    any_crossed: Vec<bool>,
     /// Per-sample firing scratch (one sample resolved at a time; sorted
     /// ascending, so inhibition sweeps the gaps between winners without a
     /// dense mask).
     fired: Vec<usize>,
-    /// Per-(range-job × sample) crossing flags of the intra-parallel
-    /// sweep, OR-reduced into `any_crossed` after the pool barrier. One
-    /// slot per *job* (not per thread), so the reduction is deterministic
-    /// however the pool schedules the jobs.
-    intra_any: Vec<bool>,
+    /// Per-(range-job × sample) "any lane crossed this timestep" flags,
+    /// OR-reduced per sample after the sweep so quiet samples skip
+    /// firing/inhibition entirely. One slot per *job* (not per thread),
+    /// so the reduction is deterministic however the pool schedules the
+    /// jobs.
+    job_any: Vec<bool>,
     /// Pinned neuron-tile width; `None` resolves from `SPARKXD_TILE` /
     /// [`DEFAULT_TILE`](crate::engine::DEFAULT_TILE) on every
     /// [`NetworkParams::run_batch`] call.
@@ -1062,9 +1004,7 @@ impl BatchState {
         for _ in 0..batch {
             self.theta.extend_from_slice(thetas);
         }
-        self.drive.resize(batch * n, 0.0);
         self.crossed.resize(batch * n, false);
-        self.any_crossed.resize(batch, false);
         self.active.resize(batch, Vec::new());
         self.plans.resize(batch, Vec::new());
         self.cursor.resize(batch, 0);
@@ -1074,12 +1014,10 @@ impl BatchState {
         }
         self.cursor.fill(0);
         self.heads.fill(usize::MAX);
-        self.any_crossed.fill(false);
         self.merged_rows.clear();
         self.member_starts.clear();
         self.members_flat.clear();
         self.fired.clear();
-        self.intra_any.clear();
     }
 }
 
@@ -1695,106 +1633,6 @@ mod tests {
                     .unwrap()
             })
             .collect()
-    }
-
-    #[test]
-    fn run_batch_is_bit_identical_to_run_sample_for_any_batch_size() {
-        let mut net = small_net();
-        let data = SynthDigits.generate(17, 3);
-        net.train_epoch(&data, 4);
-        let params = net.params();
-        let reference = scalar_counts(params, &data, 17, 77);
-        for batch in [1usize, 2, 3, 8, 17] {
-            let mut state = BatchState::for_params(params, batch);
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < 17 {
-                let end = (start + batch).min(17);
-                let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-                let mut rngs: Vec<StdRng> =
-                    (start..end).map(|i| sample_rng(77, i as u64)).collect();
-                got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-                start = end;
-            }
-            assert_eq!(got, reference, "batch size {batch}");
-        }
-    }
-
-    #[test]
-    fn run_batch_is_bit_identical_for_any_tile_width() {
-        // n_neurons = 20: tile widths below, at, straddling and far above
-        // the population, including widths that do not divide it.
-        let mut net = small_net();
-        let data = SynthDigits.generate(11, 3);
-        net.train_epoch(&data, 4);
-        let params = net.params();
-        let reference = scalar_counts(params, &data, 11, 55);
-        for tile in [1usize, 2, 3, 7, 19, 20, 21, 512, usize::MAX] {
-            let mut state = BatchState::for_params(params, 4).with_tile(tile);
-            let mut got = Vec::new();
-            let mut start = 0;
-            while start < 11 {
-                let end = (start + 4).min(11);
-                let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-                let mut rngs: Vec<StdRng> =
-                    (start..end).map(|i| sample_rng(55, i as u64)).collect();
-                got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-                start = end;
-            }
-            assert_eq!(got, reference, "tile width {tile}");
-        }
-    }
-
-    #[test]
-    fn run_batch_matches_scalar_under_corruption_unclamped_and_hard_wta() {
-        for (clamp, hard_wta) in [(true, false), (false, false), (true, true), (false, true)] {
-            let mut config = SnnConfig::for_neurons(16)
-                .with_timesteps(25)
-                .with_clamp_reads(clamp);
-            config.hard_wta = hard_wta;
-            let mut params = NetworkParams::new(config);
-            // Hand-corrupt the store: NaN/Inf/negative/huge values exercise
-            // every branch of the read rule, plus a dead (all-zero) row.
-            params.with_weights_mut(|w| {
-                w.set(1, 3, f32::NAN);
-                w.set(2, 5, f32::INFINITY);
-                w.set(4, 0, -3.0);
-                w.set(4, 1, 9.0);
-                for j in 0..16 {
-                    w.set(10, j, 0.0);
-                }
-            });
-            let data = SynthDigits.generate(9, 6);
-            let reference = scalar_counts(&params, &data, 9, 13);
-            // tile = 5 splits n = 16 into uneven tiles, so the hard-WTA
-            // winner and the inhibition strength must be resolved across
-            // tile boundaries; tile = 16 is the untiled path.
-            for tile in [5usize, 16] {
-                let mut state = BatchState::for_params(&params, 4).with_tile(tile);
-                let mut got = Vec::new();
-                let mut start = 0;
-                while start < 9 {
-                    let end = (start + 4).min(9);
-                    let pixels: Vec<&[f32]> =
-                        (start..end).map(|i| data.get(i).0.pixels()).collect();
-                    let mut rngs: Vec<StdRng> =
-                        (start..end).map(|i| sample_rng(13, i as u64)).collect();
-                    got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-                    start = end;
-                }
-                assert_eq!(
-                    got, reference,
-                    "clamp_reads={clamp} hard_wta={hard_wta} tile={tile}"
-                );
-            }
-            if hard_wta {
-                // The hard-WTA branch must actually decide something: at
-                // most one spike per timestep, and at least one overall.
-                let total: u32 = reference.iter().flatten().sum();
-                assert!(total > 0, "hard-WTA run produced no spikes to compare");
-                assert!(reference.iter().all(|c| c.iter().sum::<u32>() <= 25));
-            }
-        }
     }
 
     #[test]

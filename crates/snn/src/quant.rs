@@ -77,31 +77,15 @@ impl WeightPrecision {
         }
     }
 
-    /// Parses a `SPARKXD_PRECISION` value (case-insensitive, surrounding
-    /// whitespace ignored). Returns `None` for anything that is not
-    /// `fp32`, `int8` or `int16` — the caller decides how to warn.
+    /// Parses a precision label (case-insensitive, surrounding whitespace
+    /// ignored). Returns `None` for anything that is not `fp32`, `int8` or
+    /// `int16`.
     pub fn parse(raw: &str) -> Option<Self> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "fp32" | "f32" => Some(Self::Fp32),
             "int8" | "i8" => Some(Self::Int8),
             "int16" | "i16" => Some(Self::Int16),
             _ => None,
-        }
-    }
-
-    /// Storage precision requested by the `SPARKXD_PRECISION` environment
-    /// variable; unset or unparsable values fall back to [`Fp32`]
-    /// (unparsable warns on stderr, matching the other `SPARKXD_*` knobs).
-    pub fn from_env() -> Self {
-        match std::env::var("SPARKXD_PRECISION") {
-            Ok(raw) => Self::parse(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "sparkxd: ignoring invalid SPARKXD_PRECISION={raw:?} \
-                     (expected fp32 | int8 | int16)"
-                );
-                Self::Fp32
-            }),
-            Err(_) => Self::Fp32,
         }
     }
 }

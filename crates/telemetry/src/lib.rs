@@ -7,8 +7,7 @@
 //! export surfaces read it back:
 //!
 //! * [`TelemetrySnapshot::capture`] + [`TelemetrySnapshot::to_json`] — a
-//!   serde-free hand-rolled JSON document (same idiom as the bench
-//!   crate's `bench_json`),
+//!   serde-free hand-rolled JSON document,
 //! * [`write_chrome_trace`] / the RAII [`TraceFile`] — a Chrome
 //!   trace-event file of the recorded spans, loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev),
@@ -38,8 +37,7 @@
 //! | `spans` | everything above plus a bounded in-memory trace-event buffer for the Chrome trace export |
 //!
 //! An unparsable value warns on stderr once per process and behaves as
-//! `off` (the `env_usize_override` parse-and-warn-once idiom from
-//! `sparkxd-snn::engine`). The variable is read **once**, on first use;
+//! `off`, like every knob read through [`env_knob`]. The variable is read **once**, on first use;
 //! tests that flip it mid-process must call [`force_mode_from_env`] (or
 //! [`set_mode`]) to make the change visible.
 //!
@@ -71,7 +69,9 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -166,35 +166,62 @@ fn init_mode() -> Mode {
 }
 
 fn mode_from_env() -> Mode {
-    match std::env::var(TELEMETRY_ENV) {
-        Ok(raw) => parse_mode_override(TELEMETRY_ENV, &raw).unwrap_or(Mode::Off),
-        Err(_) => Mode::Off,
+    env_knob(TELEMETRY_ENV).unwrap_or(Mode::Off)
+}
+
+impl FromStr for Mode {
+    type Err = &'static str;
+
+    fn from_str(raw: &str) -> Result<Self, Self::Err> {
+        match raw {
+            "off" => Ok(Mode::Off),
+            "counters" => Ok(Mode::Counters),
+            "spans" => Ok(Mode::Spans),
+            _ => Err("expected off|counters|spans"),
+        }
     }
 }
 
-/// The parse half of the env read, separated so the fallback behaviour
-/// is unit-testable without process-global env mutation (mirrors
-/// `sparkxd-snn::engine::parse_usize_override`).
-fn parse_mode_override(var: &str, raw: &str) -> Option<Mode> {
-    match raw.trim() {
-        "off" => Some(Mode::Off),
-        "counters" => Some(Mode::Counters),
-        "spans" => Some(Mode::Spans),
-        _ => {
+// ---------------------------------------------------------------------------
+// Environment knobs
+// ---------------------------------------------------------------------------
+
+/// Reads the environment knob `var` as a `T`.
+///
+/// Every `SPARKXD_*` knob parses through this one helper: unset means
+/// `None` (the caller's default) and surrounding whitespace is ignored.
+/// An unparsable value also means `None`, but warns on stderr once per
+/// variable per process, with `T::Err` naming the expected values, so a
+/// typo like `SPARKXD_THREADS=fourteen` cannot quietly run on the wrong
+/// configuration.
+pub fn env_knob<T>(var: &str) -> Option<T>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    parse_knob(var, &std::env::var(var).ok()?)
+}
+
+/// The parse half of [`env_knob`], separate so the fallback is testable
+/// without mutating the process environment.
+fn parse_knob<T>(var: &str, raw: &str) -> Option<T>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    match raw.trim().parse() {
+        Ok(value) => Some(value),
+        Err(err) => {
             if warn_once(var) {
-                eprintln!(
-                    "sparkxd: ignoring unparsable {var}={raw:?} \
-                     (expected off|counters|spans), using off"
-                );
+                eprintln!("sparkxd: ignoring {var}={raw:?} ({err}), using the default");
             }
             None
         }
     }
 }
 
-/// `true` the first time `var` is seen — callers gate their stderr
-/// warning on it so a hot loop cannot spam (same shape as the engine's
-/// `warn_once`, which is `pub(crate)` there).
+/// `true` the first time `var` is seen, so a knob read in a hot loop
+/// warns once.
 fn warn_once(var: &str) -> bool {
     static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
     WARNED
@@ -821,7 +848,7 @@ impl TelemetrySnapshot {
             && self.spans.is_empty()
     }
 
-    /// Hand-rolled JSON document (no serde; `bench_json` idiom).
+    /// Hand-rolled JSON document (no serde dependency).
     pub fn to_json(&self) -> String {
         let named = |pairs: &[(String, u64)]| -> String {
             pairs
@@ -1013,21 +1040,23 @@ mod tests {
 
     #[test]
     fn mode_parse_accepts_the_three_levels_and_trims() {
-        assert_eq!(parse_mode_override("T_M1", "off"), Some(Mode::Off));
-        assert_eq!(
-            parse_mode_override("T_M1", " counters "),
-            Some(Mode::Counters)
-        );
-        assert_eq!(parse_mode_override("T_M1", "spans"), Some(Mode::Spans));
+        for mode in [Mode::Off, Mode::Counters, Mode::Spans] {
+            assert_eq!(mode.as_str().parse(), Ok(mode));
+        }
+        assert_eq!(parse_knob("T_M1", " counters "), Some(Mode::Counters));
+        assert_eq!(parse_knob::<u64>("T_M1", "7"), Some(7));
+        assert_eq!(env_knob::<Mode>("SPARKXD_TEST_NEVER_SET_VAR"), None);
     }
 
     #[test]
     fn mode_parse_rejects_junk_and_warns_once() {
-        assert_eq!(parse_mode_override("T_M_JUNK", "verbose"), None);
-        // Second unparsable read of the same var stays silent (shared
-        // warn-once machinery with the engine's numeric overrides).
-        assert_eq!(parse_mode_override("T_M_JUNK", "verbose"), None);
+        assert!("Spans".parse::<Mode>().is_err());
+        assert_eq!(parse_knob::<Mode>("T_M_JUNK", "verbose"), None);
+        // The first unparsable read warned; later reads of the same
+        // variable, of any type, stay silent.
+        assert_eq!(parse_knob::<u64>("T_M_JUNK", "x"), None);
         assert!(!warn_once("T_M_JUNK"));
+        assert!(warn_once("T_M_OTHER"), "distinct vars warn separately");
     }
 
     #[test]

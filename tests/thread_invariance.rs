@@ -22,11 +22,14 @@
 //! and `SPARKXD_TELEMETRY` are process-global, and cargo runs the tests
 //! *within* a binary concurrently — a sibling test could otherwise
 //! observe a half-way override.
+//!
+//! `engine_invariance.rs` proves the same axes, and storage precision,
+//! one engine call at a time through explicit builders.
 
 use sparkxd::core::pipeline::{PipelineConfig, PipelineOutcome, SparkXdPipeline};
 use sparkxd::core::{FaultAwareOutcome, FaultAwareTrainer, TrainingConfig};
 use sparkxd::data::{SynthDigits, SyntheticSource};
-use sparkxd::snn::{DiehlCookNetwork, SnnConfig};
+use sparkxd::snn::{DiehlCookNetwork, SnnConfig, WeightPrecision};
 
 const THREADS_ENV: &str = "SPARKXD_THREADS";
 const BATCH_ENV: &str = "SPARKXD_BATCH";
@@ -36,11 +39,9 @@ const INTRA_ENV: &str = "SPARKXD_INTRA";
 const TELEMETRY_ENV: &str = "SPARKXD_TELEMETRY";
 
 /// Trimmed below `small_demo` so the matrix of full pipeline runs stays in
-/// seconds. Honours `SPARKXD_PRECISION` (the CI storage knob): with
-/// `int8`/`int16` set, every run in the matrix takes the packed
-/// quantised-image pipeline path, which must be just as engine-invariant
-/// as the FP32 one.
-fn tiny_config(seed: u64) -> PipelineConfig {
+/// seconds. At `Int8`/`Int16` the pipeline takes the packed
+/// quantised-image path, which must be just as engine-invariant as FP32.
+fn tiny_config(seed: u64, precision: WeightPrecision) -> PipelineConfig {
     PipelineConfig {
         neurons: 20,
         timesteps: 20,
@@ -49,10 +50,11 @@ fn tiny_config(seed: u64) -> PipelineConfig {
         baseline_epochs: 1,
         ..PipelineConfig::small_demo(seed)
     }
-    .with_precision(sparkxd::snn::WeightPrecision::from_env())
+    .with_precision(precision)
 }
 
 fn run_with(
+    precision: WeightPrecision,
     threads: Option<&str>,
     batch: Option<&str>,
     tile: Option<&str>,
@@ -76,7 +78,7 @@ fn run_with(
     // The telemetry mode is read once per process by design; the matrix
     // needs each run to honour its own knob value.
     sparkxd::telemetry::force_mode_from_env();
-    let outcome = SparkXdPipeline::new(tiny_config(42))
+    let outcome = SparkXdPipeline::new(tiny_config(42, precision))
         .run()
         .expect("tiny pipeline run");
     for var in [
@@ -163,10 +165,10 @@ fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
         }
     }
 
-    // Scalar serial reference: 1 worker, batch size 1 (the pre-split
-    // per-sample read path), default tiling, portable kernel, serial
-    // sweep, telemetry off.
+    // Serial reference: 1 worker, batch size 1, default tiling, portable
+    // kernel, one sweep job, telemetry off.
     let reference = run_with(
+        WeightPrecision::Fp32,
         Some("1"),
         Some("1"),
         None,
@@ -229,11 +231,38 @@ fn pipeline_outcome_is_bit_identical_across_thread_and_batch_counts() {
         ),
         (None, None, None, None, None, None),
     ] {
-        let outcome = run_with(threads, batch, tile, kernel, intra, telemetry);
+        let outcome = run_with(
+            WeightPrecision::Fp32,
+            threads,
+            batch,
+            tile,
+            kernel,
+            intra,
+            telemetry,
+        );
         assert_eq!(
             reference, outcome,
             "threads={threads:?} batch={batch:?} tile={tile:?} kernel={kernel:?} \
-             intra={intra:?} telemetry={telemetry:?} diverged from scalar serial"
+             intra={intra:?} telemetry={telemetry:?} diverged from serial"
         );
     }
+
+    // Packed int8 storage: the serial run against two workers with a
+    // batched, tiled, split sweep.
+    let int8 = |threads, batch, tile, intra| {
+        run_with(
+            WeightPrecision::Int8,
+            Some(threads),
+            Some(batch),
+            tile,
+            None,
+            intra,
+            None,
+        )
+    };
+    assert_eq!(
+        int8("1", "1", None, Some("off")),
+        int8("2", "8", Some("7"), Some("3")),
+        "int8 pipeline on 2 threads diverged from serial"
+    );
 }
