@@ -497,7 +497,11 @@ impl NetworkParams {
                 }
             };
             // One job runs inline on the caller; more go to the pool.
-            crate::engine::WorkerPool::global().run(jobs, jobs - 1, &sweep);
+            if jobs == 1 {
+                sweep(0);
+            } else {
+                crate::engine::WorkerPool::global().run(jobs, jobs.saturating_sub(1), &sweep);
+            }
             for (b, sample_counts) in counts.iter_mut().enumerate() {
                 if !(0..jobs).any(|part| job_any[part * b_count + b]) {
                     // No lane reached threshold: nothing fires and
