@@ -569,8 +569,9 @@ struct MergedRows<'a> {
 ///
 /// # Safety
 ///
-/// Concurrent calls must receive distinct `part`s and disjoint `tiles`
-/// ranges. The membrane slabs must hold `b_count × n_neurons` elements,
+/// `tiles` must lie in `0..n_neurons.div_ceil(tile)`, and concurrent
+/// calls must receive distinct `part`s and disjoint `tiles` ranges. The
+/// membrane slabs must hold `b_count × n_neurons` elements,
 /// the drive scratch `(part + 1) × b_count × tile`, the flags
 /// `(part + 1) × b_count`, and all of them must stay valid for the call.
 #[allow(clippy::too_many_arguments)]
