@@ -615,7 +615,7 @@ fn check_clean_kernels_match_generic(len: usize, phase: usize) {
 }
 
 #[test]
-fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
+fn every_tail_alignment_is_bit_identical_across_kernels() {
     // 0..=23 covers each residue n % 8 three times, with the nasty bank
     // rotated so NaN/Inf/denormal words visit every lane of the 8-wide
     // body and every position of the scalar tail.
