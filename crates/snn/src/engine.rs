@@ -57,7 +57,7 @@
 //! unchanged per-element order, no FMA, no reassociated reductions), so
 //! every `{kernel × batch × thread × tile}` combination is bit-identical
 //! — see the [`crate::kernels`] module docs for the full argument and
-//! `tests/engine_invariance.rs` for the proof battery.
+//! the `tests/*_invariance.rs` suites for the proof battery.
 
 use crate::eval::NeuronLabeler;
 use crate::kernels::{Kernel, KernelChoice};
@@ -257,7 +257,7 @@ pub fn kernel() -> Kernel {
 /// `[B × n]` slabs on identical tile boundaries and the per-sample
 /// firing/inhibition pass runs after a barrier, so any split is
 /// bit-identical to one job by construction (see
-/// `tests/engine_invariance.rs`).
+/// `tests/intra_invariance.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntraChoice {
     /// Size the sweep to the leftover global thread budget via
@@ -1065,6 +1065,7 @@ mod tests {
     use super::*;
     use crate::network::{DiehlCookNetwork, RunState, SnnConfig};
     use sparkxd_data::{SynthDigits, SyntheticSource};
+    use sparkxd_telemetry::{parse_knob, warn_once};
 
     fn trained_params() -> NetworkParams {
         let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(20).with_timesteps(25));
@@ -1100,20 +1101,100 @@ mod tests {
         }
     }
 
+    /// The reference path: one `run_sample` per image on
+    /// `sample_rng(seed, i)`, never the evaluator itself.
+    fn run_sample_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
+        let mut state = RunState::for_params(params);
+        (0..data.len())
+            .map(|i| {
+                let mut rng = sample_rng(seed, i as u64);
+                params
+                    .run_sample(&mut state, data.get(i).0.pixels(), &mut rng)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Neuron labels built from the reference counts.
+    fn reference_labeler(params: &NetworkParams, data: &Dataset, seed: u64) -> NeuronLabeler {
+        let mut responses = vec![[0u64; 10]; params.config().n_neurons];
+        for (i, counts) in run_sample_counts(params, data, seed).iter().enumerate() {
+            let label = usize::from(data.get(i).1);
+            for (response, &c) in responses.iter_mut().zip(counts) {
+                response[label] += u64::from(c);
+            }
+        }
+        NeuronLabeler::from_responses(&responses)
+    }
+
+    /// Accuracy under `labeler` scored from the reference counts.
+    fn reference_accuracy(
+        params: &NetworkParams,
+        data: &Dataset,
+        labeler: &NeuronLabeler,
+        seed: u64,
+    ) -> f64 {
+        let counts = run_sample_counts(params, data, seed);
+        let correct = (0..data.len())
+            .filter(|&i| labeler.predict(&counts[i]) == Some(data.get(i).1))
+            .count();
+        correct as f64 / data.len() as f64
+    }
+
+    #[test]
+    fn evaluate_is_worker_count_invariant() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let labeler = reference_labeler(&params, &data, 4);
+        let want = reference_accuracy(&params, &data, &labeler, 5);
+        for threads in [1, 2, 3, 7] {
+            let got = BatchEvaluator::with_threads(threads).evaluate(&params, &data, &labeler, 5);
+            assert_eq!(got.to_bits(), want.to_bits(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn evaluate_is_batch_size_invariant() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let labeler = reference_labeler(&params, &data, 4);
+        let want = reference_accuracy(&params, &data, &labeler, 5);
+        for batch in [1, 2, 3, 8, 17] {
+            for threads in [1, 3] {
+                let got = BatchEvaluator::with_threads(threads)
+                    .with_batch(batch)
+                    .evaluate(&params, &data, &labeler, 5);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "batch={batch} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn label_neurons_is_worker_and_batch_invariant() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let want = reference_labeler(&params, &data, 4);
+        for (threads, batch) in [(1, 1), (2, 1), (1, 4), (5, 3), (2, 17)] {
+            let got = BatchEvaluator::with_threads(threads)
+                .with_batch(batch)
+                .label_neurons(&params, &data, 4);
+            assert_eq!(
+                got.assignments(),
+                want.assignments(),
+                "threads={threads} batch={batch}"
+            );
+        }
+    }
+
     #[test]
     fn spike_counts_match_direct_run_sample() {
         let params = trained_params();
         let data = SynthDigits.generate(6, 3);
-        let mut state = RunState::for_params(&params);
-        let mut direct = Vec::new();
-        for (idx, (image, _)) in data.iter().enumerate() {
-            let mut rng = sample_rng(9, idx as u64);
-            direct.push(
-                params
-                    .run_sample(&mut state, image.pixels(), &mut rng)
-                    .unwrap(),
-            );
-        }
+        let direct = run_sample_counts(&params, &data, 9);
         for (threads, batch) in [(2, 1), (2, 4), (1, 8)] {
             let batched = BatchEvaluator::with_threads(threads)
                 .with_batch(batch)
@@ -1145,8 +1226,38 @@ mod tests {
     }
 
     #[test]
+    fn unparsable_override_falls_back_and_warns_once() {
+        // Unparsable values behave as unset (the caller's default applies)…
+        let count = |raw: &str| parse_knob::<Count>("T_BAD_A", raw).map(|Count(n)| n);
+        assert_eq!(count("fourteen"), None);
+        assert_eq!(count("-2"), None);
+        assert_eq!(count(""), None);
+        // …and the first of them used up the variable's one warning.
+        assert!(!warn_once("T_BAD_A"));
+        assert!(warn_once("T_ONCE_OTHER"), "distinct vars warn separately");
+    }
+
+    #[test]
     fn env_override_reads_unset_variable_as_none() {
         assert_eq!(env_usize_override("SPARKXD_TEST_NEVER_SET_VAR"), None);
+    }
+
+    #[test]
+    fn kernel_override_parses_the_three_spellings() {
+        // Read the way SPARKXD_KERNEL is: trimmed, any letter case.
+        assert_eq!(parse_knob("K_OK", "auto"), Some(KernelChoice::Auto));
+        assert_eq!(parse_knob("K_OK", " Scalar "), Some(KernelChoice::Scalar));
+        assert_eq!(parse_knob("K_OK", "AVX2"), Some(KernelChoice::Avx2));
+    }
+
+    #[test]
+    fn unparsable_kernel_override_falls_back_and_warns_once() {
+        // Unknown spellings behave as unset (the `auto` default applies)…
+        assert_eq!(parse_knob::<KernelChoice>("K_BAD_A", "avx512"), None);
+        assert_eq!(parse_knob::<KernelChoice>("K_BAD_A", "fast"), None);
+        assert_eq!(parse_knob::<KernelChoice>("K_BAD_A", ""), None);
+        // …and the first of them used up the variable's one warning.
+        assert!(!warn_once("K_BAD_A"));
     }
 
     #[test]
@@ -1160,6 +1271,27 @@ mod tests {
         assert_eq!(kernel_choice(), pinned.unwrap_or(KernelChoice::Auto));
         let resolved = kernel();
         assert!(crate::kernels::Kernel::available().contains(&resolved));
+    }
+
+    #[test]
+    fn evaluate_is_kernel_invariant() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let labeler = reference_labeler(&params, &data, 4);
+        let want = reference_accuracy(&params, &data, &labeler, 5);
+        for choice in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Avx2] {
+            for (threads, batch) in [(1, 1), (1, 4), (2, 8)] {
+                let got = BatchEvaluator::with_threads(threads)
+                    .with_batch(batch)
+                    .with_kernel(choice)
+                    .evaluate(&params, &data, &labeler, 5);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "kernel={choice:?} threads={threads} batch={batch}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1186,6 +1318,27 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_is_tile_width_invariant() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let labeler = reference_labeler(&params, &data, 4);
+        let want = reference_accuracy(&params, &data, &labeler, 5);
+        for tile in [1usize, 3, 19, 20, 64, usize::MAX] {
+            for (threads, batch) in [(1, 4), (2, 8)] {
+                let got = BatchEvaluator::with_threads(threads)
+                    .with_batch(batch)
+                    .with_tile(tile)
+                    .evaluate(&params, &data, &labeler, 5);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "tile={tile} threads={threads} batch={batch}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn nested_levels_share_the_thread_budget() {
         // A huge outer reservation must drive nested pools serial (never
         // below 1). Sibling tests can only reserve *more*, so the equality
@@ -1209,6 +1362,14 @@ mod tests {
         );
         assert!("fast".parse::<IntraChoice>().is_err());
         assert!("-3".parse::<IntraChoice>().is_err());
+    }
+
+    #[test]
+    fn unparsable_intra_override_falls_back_and_warns_once() {
+        assert_eq!(parse_knob::<IntraChoice>("I_BAD_A", "fast"), None);
+        assert_eq!(parse_knob::<IntraChoice>("I_BAD_A", "-3"), None);
+        assert_eq!(parse_knob::<IntraChoice>("I_BAD_A", ""), None);
+        assert!(!warn_once("I_BAD_A"));
     }
 
     #[test]
@@ -1411,5 +1572,27 @@ mod tests {
             },
         );
         assert_eq!(*order.lock().unwrap(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn evaluate_is_intra_invariant() {
+        let params = trained_params();
+        let data = SynthDigits.generate(13, 3);
+        let labeler = reference_labeler(&params, &data, 4);
+        let want = reference_accuracy(&params, &data, &labeler, 5);
+        for intra in [
+            IntraChoice::Off,
+            IntraChoice::Auto,
+            IntraChoice::Workers(2),
+            IntraChoice::Workers(3),
+            IntraChoice::Workers(7),
+        ] {
+            let got = BatchEvaluator::with_threads(1)
+                .with_batch(4)
+                .with_tile(4)
+                .with_intra(intra)
+                .evaluate(&params, &data, &labeler, 5);
+            assert_eq!(got.to_bits(), want.to_bits(), "intra={intra:?}");
+        }
     }
 }

@@ -91,7 +91,7 @@
 //! `x.max(floor)` for every `x` (including NaN) provided `floor` itself
 //! is a non-NaN value that is not a signed zero — always true for the
 //! model's floor of [`LifConfig::inhibition_floor`] (strictly below
-//! `v_reset`). `tests/engine_invariance.rs` proves the equivalence
+//! `v_reset`). `tests/kernel_invariance.rs` proves the equivalence
 //! empirically across NaN/Inf/negative/denormal inputs and every tail
 //! alignment.
 
@@ -1140,7 +1140,7 @@ mod tests {
     fn kernels_agree_bitwise_on_every_tail_alignment() {
         // Kernel-level equivalence across all `n % 8` tails, including
         // lengths shorter than one vector. The full-pipeline sweep lives
-        // in tests/engine_invariance.rs.
+        // in tests/kernel_invariance.rs.
         for kernel in Kernel::available() {
             for len in 0..=19usize {
                 let drive0 = nasty_lanes(len, 3);

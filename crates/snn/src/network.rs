@@ -1640,6 +1640,100 @@ mod tests {
             .collect()
     }
 
+    /// `run_batch` over the first `n` images in chunks of `batch`, through
+    /// one reused `state`, on the reference RNG streams `(seed, index)`.
+    fn batched_counts(
+        params: &NetworkParams,
+        state: &mut BatchState,
+        data: &Dataset,
+        n: usize,
+        batch: usize,
+        seed: u64,
+    ) -> Vec<Vec<u32>> {
+        let mut got = Vec::with_capacity(n);
+        let mut start = 0;
+        while start < n {
+            let end = (start + batch).min(n);
+            let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
+            let mut rngs: Vec<StdRng> = (start..end).map(|i| sample_rng(seed, i as u64)).collect();
+            got.extend(params.run_batch(state, &pixels, &mut rngs).unwrap());
+            start = end;
+        }
+        got
+    }
+
+    #[test]
+    fn run_batch_is_bit_identical_to_run_sample_for_any_batch_size() {
+        let mut net = small_net();
+        let data = SynthDigits.generate(17, 3);
+        net.train_epoch(&data, 4);
+        let params = net.params();
+        let reference = scalar_counts(params, &data, 17, 77);
+        for batch in [1usize, 2, 3, 8, 17] {
+            let mut state = BatchState::for_params(params, batch);
+            let got = batched_counts(params, &mut state, &data, 17, batch, 77);
+            assert_eq!(got, reference, "batch size {batch}");
+        }
+    }
+
+    #[test]
+    fn run_batch_is_bit_identical_for_any_tile_width() {
+        // n_neurons = 20: tile widths below, at, straddling and far above
+        // the population, including widths that do not divide it.
+        let mut net = small_net();
+        let data = SynthDigits.generate(11, 3);
+        net.train_epoch(&data, 4);
+        let params = net.params();
+        let reference = scalar_counts(params, &data, 11, 55);
+        for tile in [1usize, 2, 3, 7, 19, 20, 21, 512, usize::MAX] {
+            let mut state = BatchState::for_params(params, 4).with_tile(tile);
+            let got = batched_counts(params, &mut state, &data, 11, 4, 55);
+            assert_eq!(got, reference, "tile width {tile}");
+        }
+    }
+
+    #[test]
+    fn run_batch_matches_scalar_under_corruption_unclamped_and_hard_wta() {
+        for (clamp, hard_wta) in [(true, false), (false, false), (true, true), (false, true)] {
+            let mut config = SnnConfig::for_neurons(16)
+                .with_timesteps(25)
+                .with_clamp_reads(clamp);
+            config.hard_wta = hard_wta;
+            let mut params = NetworkParams::new(config);
+            // Hand-corrupt the store: NaN/Inf/negative/huge values exercise
+            // every branch of the read rule, plus a dead (all-zero) row.
+            params.with_weights_mut(|w| {
+                w.set(1, 3, f32::NAN);
+                w.set(2, 5, f32::INFINITY);
+                w.set(4, 0, -3.0);
+                w.set(4, 1, 9.0);
+                for j in 0..16 {
+                    w.set(10, j, 0.0);
+                }
+            });
+            let data = SynthDigits.generate(9, 6);
+            let reference = scalar_counts(&params, &data, 9, 13);
+            // tile = 5 splits n = 16 into uneven tiles, so the hard-WTA
+            // winner and the inhibition strength must be resolved across
+            // tile boundaries; tile = 16 is the untiled path.
+            for tile in [5usize, 16] {
+                let mut state = BatchState::for_params(&params, 4).with_tile(tile);
+                let got = batched_counts(&params, &mut state, &data, 9, 4, 13);
+                assert_eq!(
+                    got, reference,
+                    "clamp_reads={clamp} hard_wta={hard_wta} tile={tile}"
+                );
+            }
+            if hard_wta {
+                // The hard-WTA branch must actually decide something: at
+                // most one spike per timestep, and at least one overall.
+                let total: u32 = reference.iter().flatten().sum();
+                assert!(total > 0, "hard-WTA run produced no spikes to compare");
+                assert!(reference.iter().all(|c| c.iter().sum::<u32>() <= 25));
+            }
+        }
+    }
+
     #[test]
     fn run_batch_empty_batch_is_ok() {
         let net = small_net();

@@ -202,9 +202,10 @@ where
     parse_knob(var, &std::env::var(var).ok()?)
 }
 
-/// The parse half of [`env_knob`], separate so the fallback is testable
-/// without mutating the process environment.
-fn parse_knob<T>(var: &str, raw: &str) -> Option<T>
+/// The parse half of [`env_knob`]: `raw` read as the value of `var`.
+/// Public so a knob's fallback is testable without mutating the process
+/// environment.
+pub fn parse_knob<T>(var: &str, raw: &str) -> Option<T>
 where
     T: FromStr,
     T::Err: Display,
@@ -221,8 +222,8 @@ where
 }
 
 /// `true` the first time `var` is seen, so a knob read in a hot loop
-/// warns once.
-fn warn_once(var: &str) -> bool {
+/// warns once. [`parse_knob`] gates its stderr warning on it.
+pub fn warn_once(var: &str) -> bool {
     static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
     WARNED
         .get_or_init(|| Mutex::new(BTreeSet::new()))

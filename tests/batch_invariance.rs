@@ -1,116 +1,51 @@
-//! Property tests for the batched read path: `run_batch` (as driven by the
-//! `BatchEvaluator`) must produce bit-identical spike counts and accuracy
-//! to the scalar `run_sample` path for any (batch size, worker count,
-//! tile width, kernel, intra-sweep split) combination.
-//!
-//! Unlike `thread_invariance.rs`, these tests pin workers, batch size and
-//! tile width through the `BatchEvaluator` API rather than the
-//! process-global environment variables, so they can run concurrently.
+//! Batch axis of the engine invariance proof: every batch size at every
+//! thread count reproduces the `run_sample` reference bit for bit. The
+//! fixture, reference and checker are in `invariance/mod.rs`.
 
+mod invariance;
+
+use invariance::*;
 use proptest::prelude::*;
-use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
-use sparkxd::snn::engine::BatchEvaluator;
-use sparkxd::snn::{
-    DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, NeuronLabeler, QuantizedImage,
-    SnnConfig, WeightPrecision,
-};
-use std::sync::OnceLock;
+use sparkxd::snn::IntraChoice::{Off, Workers};
+use sparkxd::snn::KernelChoice::{Avx2, Scalar};
 
-/// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
-/// the trained weights are replaced by their packed-image round-trip, so
-/// the whole invariance matrix runs on the quantised weight substrate.
-fn apply_storage_precision(net: &mut DiehlCookNetwork) {
-    let precision = WeightPrecision::from_env();
-    if precision.is_quantized() {
-        net.set_weights(QuantizedImage::roundtrip(net.weights(), precision));
-    }
-}
-
-/// One small trained network + dataset + labeler shared by every property
-/// case (training once keeps the 25-case matrix in seconds).
-fn fixture() -> &'static (NetworkParams, Dataset, NeuronLabeler) {
-    static FIXTURE: OnceLock<(NetworkParams, Dataset, NeuronLabeler)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let train = SynthDigits.generate(40, 1);
-        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(24).with_timesteps(30));
-        net.train_epoch(&train, 3);
-        apply_storage_precision(&mut net);
-        let params = net.into_params();
-        let test = SynthDigits.generate(23, 2);
-        let labeler = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .label_neurons(&params, &test, 4);
-        (params, test, labeler)
-    })
-}
+/// Batch {1, 3, 8, 17} × threads {1, 2, 5}, each row at a different tile,
+/// kernel and intra split. Batch 1 is the former scalar branch of the
+/// evaluator; 17 leaves a ragged last chunk of the 23 images.
+const ROWS: [Point; 12] = [
+    row(FP32, 1, 1, MAX, Scalar, Off),
+    row(FP32, 1, 2, 7, Scalar, Workers(2)),
+    row(FP32, 1, 5, 1, Avx2, Workers(17)),
+    row(FP32, 3, 1, 7, K_AUTO, I_AUTO),
+    row(FP32, 3, 2, 23, Scalar, Off),
+    row(FP32, 3, 5, 24, Avx2, Workers(3)),
+    row(FP32, 8, 1, 1, K_AUTO, Workers(6)),
+    row(FP32, 8, 2, MAX, Avx2, I_AUTO),
+    row(FP32, 8, 5, 7, Scalar, Workers(3)),
+    row(FP32, 17, 1, 24, Scalar, Workers(2)),
+    row(FP32, 17, 2, 1, K_AUTO, Workers(17)),
+    row(FP32, 17, 5, 23, Avx2, Off),
+];
 
 #[test]
 fn issue_batch_sizes_are_bit_identical_to_scalar() {
-    let (params, test, labeler) = fixture();
-    let scalar_eval = BatchEvaluator::with_threads(1).with_batch(1);
-    let counts_ref = scalar_eval.spike_counts(params, test, 7);
-    let accuracy_ref = scalar_eval.evaluate(params, test, labeler, 7);
-    // Tile widths straddle the fixture's n = 24: ragged tails (7, 23),
-    // exact fit (24) and the single-tile clamp (usize::MAX).
-    for batch in [1usize, 3, 8, 17] {
-        for threads in [1usize, 2, 5] {
-            for tile in [1usize, 7, 23, 24, usize::MAX] {
-                let eval = BatchEvaluator::with_threads(threads)
-                    .with_batch(batch)
-                    .with_tile(tile);
-                assert_eq!(
-                    eval.spike_counts(params, test, 7),
-                    counts_ref,
-                    "spike counts diverged at batch={batch} threads={threads} tile={tile}"
-                );
-                assert_eq!(
-                    eval.evaluate(params, test, labeler, 7),
-                    accuracy_ref,
-                    "accuracy diverged at batch={batch} threads={threads} tile={tile}"
-                );
-            }
-        }
-    }
+    check_rows(&ROWS);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
+    /// Any batch size and thread count, at any point of the other axes.
     #[test]
     fn arbitrary_batch_and_thread_counts_match_scalar(
         batch in 1usize..32,
         threads in 1usize..6,
+        storage_idx in 0usize..12,
         tile in 1usize..40,
         kernel_idx in 0usize..3,
-        intra_idx in 0usize..4,
+        intra_idx in 0usize..6,
         seed in 0u64..1000,
     ) {
-        let kernel = [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2][kernel_idx];
-        let intra = [
-            IntraChoice::Off,
-            IntraChoice::Auto,
-            IntraChoice::Workers(2),
-            IntraChoice::Workers(3),
-        ][intra_idx];
-        let (params, test, labeler) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar);
-        let batched = BatchEvaluator::with_threads(threads)
-            .with_batch(batch)
-            .with_tile(tile)
-            .with_kernel(kernel)
-            .with_intra(intra);
-        prop_assert_eq!(
-            batched.spike_counts(params, test, seed),
-            scalar.spike_counts(params, test, seed)
-        );
-        prop_assert_eq!(
-            batched.evaluate(params, test, labeler, seed),
-            scalar.evaluate(params, test, labeler, seed)
-        );
-        let batched_labels = batched.label_neurons(params, test, seed);
-        let scalar_labels = scalar.label_neurons(params, test, seed);
-        prop_assert_eq!(batched_labels.assignments(), scalar_labels.assignments());
+        check_drawn(storage_idx, batch, threads, tile, kernel_idx, intra_idx, seed)?;
     }
 }

@@ -1,282 +1,20 @@
-//! The engine's invariance proof: every inference configuration gives the
-//! same bits.
-//!
-//! `BatchEvaluator`, and through it `NetworkParams::run_batch`, must
-//! reproduce the reference `NetworkParams::run_sample` (one call per image
-//! on RNG stream `sample_rng(seed, i)`) at every row of [`TABLE`]: the same
-//! spike counts, the same neuron labels and the same accuracy bits. The
-//! rows span the batch, thread, tile, kernel, intra-chunk split and
-//! storage axes on one adversarial fixture; a proptest draws further points
-//! from the full ranges. Below the engine, the kernel sweeps prove every
-//! kernel entry point bit-identical to the portable kernel at every tail
-//! alignment, on NaN, ±Inf, denormal and signed-zero words.
-//!
-//! Every axis is pinned through the `BatchEvaluator`/`BatchState`
-//! builders, never the process-global environment, so the tests in this
-//! binary run concurrently (`thread_invariance.rs` owns the env-var axis).
+//! Storage axis of the engine invariance proof: every packed precision
+//! and every `clamp_reads` × `hard_wta` read rule reproduces the
+//! reference `NetworkParams::run_sample` bit for bit through
+//! `BatchEvaluator` (spike counts, labels and accuracy bits). The batch,
+//! tile, intra-split and kernel axes have a suite each (`batch_`,
+//! `tile_`, `intra_` and `kernel_invariance.rs`); all five run on the
+//! fixture, reference and checker in `invariance/mod.rs`.
 
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
-use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
-use sparkxd::snn::kernels::LifLanes;
-use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, Kernel, KernelChoice, LifConfig, NetworkParams,
-    NeuronLabeler, QuantizedImage, RunState, SnnConfig, StdpConfig, WeightPrecision,
-};
-use std::sync::OnceLock;
-use IntraChoice::{Off, Workers};
-use KernelChoice::{Avx2, Scalar};
+mod invariance;
 
-/// How the fixture's weights are stored and read.
-#[derive(Clone, Copy, Debug)]
-struct Storage {
-    precision: WeightPrecision,
-    clamp_reads: bool,
-    hard_wta: bool,
-}
+use invariance::*;
+use sparkxd::snn::IntraChoice::{Off, Workers};
+use sparkxd::snn::KernelChoice::{Avx2, Scalar};
 
-const FP32: Storage = Storage {
-    precision: WeightPrecision::Fp32,
-    clamp_reads: true,
-    hard_wta: false,
-};
-const INT8: Storage = Storage {
-    precision: WeightPrecision::Int8,
-    ..FP32
-};
-const INT16: Storage = Storage {
-    precision: WeightPrecision::Int16,
-    ..FP32
-};
-const UNCLAMPED: Storage = Storage {
-    clamp_reads: false,
-    ..FP32
-};
-const HARD_WTA: Storage = Storage {
-    hard_wta: true,
-    ..FP32
-};
-const UNCLAMPED_HARD_WTA: Storage = Storage {
-    clamp_reads: false,
-    hard_wta: true,
-    ..FP32
-};
-
-const PRECISIONS: [WeightPrecision; 3] = [
-    WeightPrecision::Fp32,
-    WeightPrecision::Int8,
-    WeightPrecision::Int16,
-];
-
-/// Neurons in the fixture: prime, so no tile width in `2..23` divides it
-/// and every multi-tile sweep ends on a ragged tail; 23 % 8 = 7 is also
-/// the widest SIMD tail.
-const N: usize = 23;
-
-/// The adversarial fixture for one storage: a network trained under that
-/// storage's read rule and WTA mode, round-tripped through the storage
-/// precision, then planted with defects (after the round-trip, so
-/// quantisation cannot scrub them):
-///
-/// * two adjacent dead rows, which the row merge must skip while keeping
-///   every member's cursor in step;
-/// * NaN and +Inf on an interior lane and on the last lane;
-/// * a negative word, a word above `w_max`, and a denormal on an 8-lane
-///   boundary, for the read rule;
-/// * a row of negative words: dead under `clamp_reads`, a live inhibitory
-///   row without it.
-fn fixture(storage: Storage) -> &'static (NetworkParams, Dataset) {
-    static CACHE: [OnceLock<(NetworkParams, Dataset)>; 12] = [const { OnceLock::new() }; 12];
-    let precision = PRECISIONS.iter().position(|&p| p == storage.precision);
-    let slot = precision.unwrap() * 4
-        + usize::from(storage.clamp_reads) * 2
-        + usize::from(storage.hard_wta);
-    CACHE[slot].get_or_init(|| {
-        let mut config = SnnConfig::for_neurons(N)
-            .with_timesteps(30)
-            .with_clamp_reads(storage.clamp_reads);
-        config.hard_wta = storage.hard_wta;
-        let mut net = DiehlCookNetwork::new(config);
-        net.train_epoch(&SynthDigits.generate(30, 1), 3);
-        if storage.precision.is_quantized() {
-            net.set_weights(QuantizedImage::roundtrip(net.weights(), storage.precision));
-        }
-        // Rows 404..=408 are input pixels near the image centre, which
-        // spike in most samples, so every defect is streamed.
-        net.with_weights_mut(|w| {
-            for j in 0..N {
-                w.set(404, j, 0.0);
-                w.set(405, j, 0.0);
-                w.set(403, j, -0.25);
-            }
-            w.set(406, 3, f32::NAN);
-            w.set(406, N - 1, f32::INFINITY);
-            w.set(408, 11, f32::INFINITY);
-            w.set(408, N - 1, f32::NAN);
-            w.set(407, 0, -2.0);
-            w.set(407, 5, 9.0);
-            w.set(407, 7, 1.5e-41);
-        });
-        (net.into_params(), SynthDigits.generate(23, 2))
-    })
-}
-
-/// Reference spike counts: one `run_sample` per image on the portable
-/// kernel.
-fn reference_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
-    let mut state = RunState::for_params(params).with_kernel(KernelChoice::Scalar);
-    (0..data.len())
-        .map(|i| {
-            let mut rng = sample_rng(seed, i as u64);
-            params
-                .run_sample(&mut state, data.get(i).0.pixels(), &mut rng)
-                .unwrap()
-        })
-        .collect()
-}
-
-/// `run_batch` called directly, in chunks of `batch` through one reused
-/// `state`.
-fn run_batch_counts(
-    params: &NetworkParams,
-    data: &Dataset,
-    seed: u64,
-    batch: usize,
-    mut state: BatchState,
-) -> Vec<Vec<u32>> {
-    let mut got = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + batch).min(data.len());
-        let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-        let mut rngs: Vec<StdRng> = (start..end).map(|i| sample_rng(seed, i as u64)).collect();
-        got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-        start = end;
-    }
-    got
-}
-
-/// What every engine point must reproduce bit for bit. The accuracy is
-/// scored under the reference labels, so it depends on the counts alone.
-#[derive(Debug, PartialEq)]
-struct Outcome {
-    counts: Vec<Vec<u32>>,
-    labels: Vec<Option<u8>>,
-    accuracy_bits: u64,
-}
-
-/// The reference outcome, built from `run_sample` counts alone, and its
-/// labels.
-fn reference(storage: Storage, seed: u64) -> (Outcome, NeuronLabeler) {
-    let (params, data) = fixture(storage);
-    let counts = reference_counts(params, data, seed);
-    let mut responses = vec![[0u64; 10]; N];
-    for (i, sample) in counts.iter().enumerate() {
-        let label = usize::from(data.get(i).1);
-        for (response, &c) in responses.iter_mut().zip(sample) {
-            response[label] += u64::from(c);
-        }
-    }
-    let labeler = NeuronLabeler::from_responses(&responses);
-    let correct = (0..data.len())
-        .filter(|&i| labeler.predict(&counts[i]) == Some(data.get(i).1))
-        .count();
-    let outcome = Outcome {
-        counts,
-        labels: labeler.assignments().to_vec(),
-        accuracy_bits: (correct as f64 / data.len() as f64).to_bits(),
-    };
-    (outcome, labeler)
-}
-
-/// One engine configuration.
-#[derive(Clone, Copy, Debug)]
-struct Point {
-    storage: Storage,
-    batch: usize,
-    threads: usize,
-    tile: usize,
-    kernel: KernelChoice,
-    intra: IntraChoice,
-}
-
-const fn row(
-    storage: Storage,
-    batch: usize,
-    threads: usize,
-    tile: usize,
-    kernel: KernelChoice,
-    intra: IntraChoice,
-) -> Point {
-    Point {
-        storage,
-        batch,
-        threads,
-        tile,
-        kernel,
-        intra,
-    }
-}
-
-/// The engine's outcome at `point`: counts, labels and accuracy, all
-/// through the `BatchEvaluator` sharding stack.
-fn engine(point: Point, seed: u64, labeler: &NeuronLabeler) -> Outcome {
-    let (params, data) = fixture(point.storage);
-    let eval = BatchEvaluator::with_threads(point.threads)
-        .with_batch(point.batch)
-        .with_tile(point.tile)
-        .with_kernel(point.kernel)
-        .with_intra(point.intra);
-    Outcome {
-        counts: eval.spike_counts(params, data, seed),
-        labels: eval
-            .label_neurons(params, data, seed)
-            .assignments()
-            .to_vec(),
-        accuracy_bits: eval.evaluate(params, data, labeler, seed).to_bits(),
-    }
-}
-
-const MAX: usize = usize::MAX;
-const K_AUTO: KernelChoice = KernelChoice::Auto;
-const I_AUTO: IntraChoice = IntraChoice::Auto;
-
-/// The axis table: `(storage, batch, threads, tile, kernel, intra)`.
-///
-/// At n = 23 the tile widths give 23 single-lane tiles (1), ragged splits
-/// (4, 5, 7, 9), the last lane alone in its tile (22), an exact fit (23)
-/// and the clamp to one tile (24, 64, `MAX`). `Workers(k)` splits the
-/// tiles into `min(k, tiles)` range-jobs, so `Workers(17)` at tile 1 puts
-/// a job boundary between most lanes and `Workers(6)` at tile 7 clamps to
-/// four jobs; `Off` and single-tile rows run one job on the caller. Batch
-/// 1 is the former scalar branch of the evaluator; 17 leaves a ragged
-/// last chunk of the 23 images.
-const TABLE: [Point; 42] = [
-    // Batch × threads, every batch size at every thread count.
-    row(FP32, 1, 1, MAX, Scalar, Off),
-    row(FP32, 1, 2, 7, Scalar, Workers(2)),
-    row(FP32, 1, 5, 1, Avx2, Workers(17)),
-    row(FP32, 3, 1, 7, K_AUTO, I_AUTO),
-    row(FP32, 3, 2, 23, Scalar, Off),
-    row(FP32, 3, 5, 24, Avx2, Workers(3)),
-    row(FP32, 8, 1, 1, K_AUTO, Workers(6)),
-    row(FP32, 8, 2, MAX, Avx2, I_AUTO),
-    row(FP32, 8, 5, 7, Scalar, Workers(3)),
-    row(FP32, 17, 1, 24, Scalar, Workers(2)),
-    row(FP32, 17, 2, 1, K_AUTO, Workers(17)),
-    row(FP32, 17, 5, 23, Avx2, Off),
-    // Tile edges × intra splits × kernels.
-    row(FP32, 3, 1, 1, Scalar, Off),
-    row(FP32, 3, 1, 1, Avx2, Workers(2)),
-    row(FP32, 8, 1, 7, K_AUTO, Workers(6)),
-    row(FP32, 8, 1, 7, Avx2, Workers(17)),
-    row(FP32, 1, 1, 23, K_AUTO, Workers(3)),
-    row(FP32, 2, 1, 22, Avx2, Workers(2)),
-    row(FP32, 4, 3, 5, Scalar, Workers(5)),
-    row(FP32, 5, 7, 9, K_AUTO, Workers(4)),
-    row(FP32, 13, 3, 4, Avx2, Workers(7)),
-    row(FP32, 13, 7, 64, Scalar, I_AUTO),
+/// Packed storage and the `clamp_reads` × `hard_wta` read rules, each
+/// at several batch, thread, tile, kernel and intra points.
+const ROWS: [Point; 20] = [
     // Packed storage.
     row(INT8, 1, 1, MAX, Scalar, Off),
     row(INT8, 3, 2, 7, Avx2, Workers(3)),
@@ -301,14 +39,9 @@ const TABLE: [Point; 42] = [
     row(UNCLAMPED_HARD_WTA, 17, 1, 23, Scalar, Off),
 ];
 
-const SEED: u64 = 31;
-
 #[test]
-fn every_table_row_matches_the_reference() {
-    for point in TABLE {
-        let (want, labeler) = reference(point.storage, SEED);
-        assert_eq!(engine(point, SEED, &labeler), want, "{point:?}");
-    }
+fn every_storage_row_matches_the_reference() {
+    check_rows(&ROWS);
 }
 
 #[test]
@@ -322,348 +55,5 @@ fn the_fixture_exercises_hard_wta_and_firing() {
             // At most one winner per timestep.
             assert!(want.counts.iter().all(|c| c.iter().sum::<u32>() <= 30));
         }
-    }
-}
-
-#[test]
-fn membrane_words_are_bit_identical_lane_by_lane() {
-    // Spike counts could in principle agree while membrane trajectories
-    // drift (counts quantise), so compare the accuracy at full bit
-    // precision, plus labels, with chunk sharding layered on the split
-    // sweep at a tile width the table does not use.
-    let (want, labeler) = reference(FP32, 5);
-    for intra in [I_AUTO, Workers(2), Workers(7)] {
-        let point = row(FP32, 5, 2, 4, K_AUTO, intra);
-        assert_eq!(engine(point, 5, &labeler), want, "{point:?}");
-    }
-}
-
-/// An untrained 17-neuron hard-WTA network and 7 images, whose reference
-/// spikes.
-fn hard_wta_fixture() -> (NetworkParams, Dataset, Vec<Vec<u32>>) {
-    let mut config = SnnConfig::for_neurons(17).with_timesteps(25);
-    config.hard_wta = true;
-    let params = NetworkParams::new(config);
-    let data = SynthDigits.generate(7, 5);
-    let reference = reference_counts(&params, &data, 9);
-    let total: u32 = reference.iter().flatten().sum();
-    assert!(total > 0, "hard-WTA fixture must actually spike");
-    (params, data, reference)
-}
-
-#[test]
-fn hard_wta_winner_is_resolved_across_tile_boundaries() {
-    // Hard WTA picks one global winner per timestep; with tile width 1
-    // every candidate sits in its own tile, so any per-tile shortcut in
-    // the winner or inhibition-strength reduction would diverge here.
-    let (params, data, reference) = hard_wta_fixture();
-    for tile in [1usize, 2, 16, 17] {
-        let state = BatchState::for_params(&params, 4).with_tile(tile);
-        assert_eq!(
-            run_batch_counts(&params, &data, 9, 4, state),
-            reference,
-            "tile={tile}"
-        );
-    }
-}
-
-#[test]
-fn hard_wta_winner_is_resolved_across_worker_boundaries() {
-    // With tile width 1 and several jobs over 17 single-lane tiles, the
-    // candidates of one timestep span every job's range: any per-job
-    // shortcut in the winner reduction, or a commit before the barrier,
-    // diverges here.
-    let (params, data, reference) = hard_wta_fixture();
-    for intra in [Workers(2), Workers(4), Workers(17)] {
-        for tile in [1usize, 2, 16] {
-            let state = BatchState::for_params(&params, 4)
-                .with_tile(tile)
-                .with_kernel(K_AUTO)
-                .with_intra(intra);
-            assert_eq!(
-                run_batch_counts(&params, &data, 9, 4, state),
-                reference,
-                "intra={intra:?} tile={tile}"
-            );
-        }
-    }
-}
-
-/// A bank of adversarial f32 words: quiet NaN, both infinities, signed
-/// zeros, denormals, large finite magnitudes and ordinary negatives.
-/// Indexed cyclically so any `(len, phase)` pair lands every species on
-/// every lane position of an 8-wide chunk *and* of the scalar tail.
-const NASTY: [f32; 16] = [
-    0.0,
-    -0.0,
-    1.0,
-    -2.0,
-    f32::NAN,
-    f32::INFINITY,
-    f32::NEG_INFINITY,
-    1.5e-41,  // positive denormal
-    -7.0e-42, // negative denormal
-    3.4e38,
-    -3.4e38,
-    0.015625,
-    -65.0,
-    1.0e-3,
-    f32::MIN_POSITIVE,
-    -f32::MIN_POSITIVE,
-];
-
-fn nasty_vec(len: usize, phase: usize) -> Vec<f32> {
-    (0..len).map(|i| NASTY[(i + phase) % NASTY.len()]).collect()
-}
-
-/// Membrane-flavoured lane values (around rest, plus the same corrupt
-/// species) for the LIF / inhibition entry points.
-fn membrane_vec(len: usize, phase: usize) -> Vec<f32> {
-    (0..len)
-        .map(|i| {
-            let w = NASTY[(i + phase) % NASTY.len()];
-            if w.is_finite() {
-                -65.0 + w.clamp(-30.0, 30.0)
-            } else {
-                w
-            }
-        })
-        .collect()
-}
-
-fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "{what}: lane {i} diverged ({g:?} vs {w:?})"
-        );
-    }
-}
-
-/// Runs every available kernel's generic entry points against the scalar
-/// kernel on identical inputs and demands bitwise agreement. `len`
-/// sweeps all tail alignments; `phase` rotates which nasty word lands
-/// on which lane.
-fn check_kernels_agree(len: usize, phase: usize) {
-    let lif = LifConfig::excitatory();
-    let row = nasty_vec(len, phase);
-    let drive0 = nasty_vec(len, phase.wrapping_add(5));
-    for &kernel in Kernel::available() {
-        if kernel == Kernel::Scalar {
-            continue;
-        }
-        // clamp_reads effective-weight transform.
-        let mut a = drive0.clone();
-        let mut b = drive0.clone();
-        Kernel::Scalar.accumulate_effective(&mut a, &row, 1.0);
-        kernel.accumulate_effective(&mut b, &row, 1.0);
-        assert_bits_eq(&b, &a, "accumulate_effective");
-        // Finite-filter path.
-        let mut a = drive0.clone();
-        let mut b = drive0.clone();
-        Kernel::Scalar.accumulate_finite(&mut a, &row);
-        kernel.accumulate_finite(&mut b, &row);
-        assert_bits_eq(&b, &a, "accumulate_finite");
-        // Fused multi-member accumulate: 3 members in a stride-`len`+3 slab.
-        let stride = len + 3;
-        let members = [0usize, 1, 2];
-        let mut a: Vec<f32> = (0..3 * stride)
-            .map(|i| NASTY[(i + phase) % NASTY.len()])
-            .collect();
-        let mut b = a.clone();
-        Kernel::Scalar.accumulate_members(&mut a, stride, 0, &members, &row);
-        kernel.accumulate_members(&mut b, stride, 0, &members, &row);
-        assert_bits_eq(&b, &a, "accumulate_members");
-        // Branch-free LIF lane update.
-        let run = |k: Kernel| {
-            let mut v = membrane_vec(len, phase);
-            let mut theta: Vec<f32> = (0..len).map(|i| (i % 5) as f32 * 0.05).collect();
-            let mut refrac: Vec<f32> = (0..len)
-                .map(|i| if i % 3 == 0 { 2.0 } else { 0.0 })
-                .collect();
-            let drive = nasty_vec(len, phase.wrapping_add(9));
-            let mut crossed = vec![false; len];
-            let any = k.integrate_lanes(
-                &lif,
-                1.0,
-                LifLanes {
-                    v: &mut v,
-                    theta: &mut theta,
-                    refractory: &mut refrac,
-                    drive: &drive,
-                    crossed: &mut crossed,
-                },
-            );
-            (v, theta, refrac, crossed, any)
-        };
-        let (va, ta, ra, ca, anya) = run(Kernel::Scalar);
-        let (vb, tb, rb, cb, anyb) = run(kernel);
-        assert_bits_eq(&vb, &va, "integrate_lanes v");
-        assert_bits_eq(&tb, &ta, "integrate_lanes theta");
-        assert_bits_eq(&rb, &ra, "integrate_lanes refractory");
-        assert_eq!(cb, ca, "integrate_lanes crossed");
-        assert_eq!(anyb, anya, "integrate_lanes any-crossed");
-        // Inhibition sweep (floor is finite by construction).
-        let mut a = membrane_vec(len, phase);
-        let mut b = a.clone();
-        Kernel::Scalar.inhibit_lanes(&mut a, 7.5, lif.inhibition_floor());
-        kernel.inhibit_lanes(&mut b, 7.5, lif.inhibition_floor());
-        assert_bits_eq(&b, &a, "inhibit_lanes");
-        // Fused STDP depression + drive row pass: both the rewritten
-        // weights and the drive it accumulates, with adversarial words in
-        // the row, the post traces and the accumulator alike.
-        let trace = nasty_vec(len, phase.wrapping_add(3));
-        let (mut row_a, mut drive_a) = (row.clone(), drive0.clone());
-        let (mut row_b, mut drive_b) = (row.clone(), drive0.clone());
-        Kernel::Scalar.depress_accumulate(&mut row_a, &trace, 0.0012, 1.0, &mut drive_a);
-        kernel.depress_accumulate(&mut row_b, &trace, 0.0012, 1.0, &mut drive_b);
-        assert_bits_eq(&row_b, &row_a, "depress_accumulate weights");
-        assert_bits_eq(&drive_b, &drive_a, "depress_accumulate drive");
-        // Normalisation scale pass: NaN scales (dead columns) must keep
-        // the stored word's bits, every other scale rewrites it.
-        let scales = nasty_vec(len, phase.wrapping_add(11));
-        let mut a = row.clone();
-        let mut b = row.clone();
-        Kernel::Scalar.rescale_effective(&mut a, &scales, 1.0);
-        kernel.rescale_effective(&mut b, &scales, 1.0);
-        assert_bits_eq(&b, &a, "rescale_effective");
-        // Potentiation column walk over a corrupt `len × 2` store.
-        let stdp = StdpConfig::standard();
-        let store = nasty_vec(2 * len, phase.wrapping_add(7));
-        for column in 0..2.min(store.len()) {
-            let mut a = store.clone();
-            let mut b = store.clone();
-            Kernel::Scalar.potentiate_column(&mut a, 2, column, &trace, &stdp, 1.0);
-            kernel.potentiate_column(&mut b, 2, column, &trace, &stdp, 1.0);
-            assert_bits_eq(&b, &a, "potentiate_column");
-        }
-    }
-}
-
-/// The clean subset of [`NASTY`] at `w_max = 1.0` — the words a clean
-/// store may hold (`w >= 0.0 && w <= w_max`): signed zeros, denormals,
-/// `w_max` itself and in-range values — plus a few more in-range values.
-const CLEAN: [f32; 10] = [
-    0.0,
-    -0.0,
-    1.0,
-    1.5e-41,
-    0.015625,
-    1.0e-3,
-    f32::MIN_POSITIVE,
-    0.5,
-    0.999_999_9,
-    0.3,
-];
-
-fn clean_vec(len: usize, phase: usize) -> Vec<f32> {
-    (0..len).map(|i| CLEAN[(i + phase) % CLEAN.len()]).collect()
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Every clean-store entry point against its generic kernel, on clean
-/// weights, for every available kernel: the rewritten weights, the drive
-/// and the column sums must match bit for bit. The other operands come
-/// from the full nasty bank (NaN-free scales: the clean scale pass only
-/// runs when no column is dead), since only the weights must be clean.
-fn check_clean_kernels_match_generic(len: usize, phase: usize) {
-    let row = clean_vec(len, phase);
-    let acc0 = nasty_vec(len, phase.wrapping_add(5));
-    let trace = nasty_vec(len, phase.wrapping_add(3));
-    let scales: Vec<f32> = nasty_vec(len, phase.wrapping_add(11))
-        .into_iter()
-        .map(|x| if x.is_nan() { 2.0 } else { x })
-        .collect();
-    for &kernel in Kernel::available() {
-        let what = |entry: &str| format!("{entry} {kernel:?} len={len} phase={phase}");
-        // Fused depression + drive.
-        let (mut row_a, mut drive_a) = (row.clone(), acc0.clone());
-        let (mut row_b, mut drive_b) = (row.clone(), acc0.clone());
-        kernel.depress_accumulate(&mut row_a, &trace, 0.0012, 1.0, &mut drive_a);
-        kernel.depress_accumulate_clean(&mut row_b, &trace, 0.0012, 1.0, &mut drive_b);
-        assert_eq!(bits(&row_b), bits(&row_a), "{}", what("depress weights"));
-        assert_eq!(bits(&drive_b), bits(&drive_a), "{}", what("depress drive"));
-        // Column-sum pass.
-        let mut a = acc0.clone();
-        let mut b = acc0.clone();
-        kernel.accumulate_effective(&mut a, &row, 1.0);
-        kernel.accumulate_clean(&mut b, &row);
-        assert_eq!(bits(&b), bits(&a), "{}", what("column sums"));
-        // Scale pass.
-        let mut a = row.clone();
-        let mut b = row.clone();
-        kernel.rescale_effective(&mut a, &scales, 1.0);
-        kernel.rescale_clean(&mut b, &scales, 1.0);
-        assert_eq!(bits(&b), bits(&a), "{}", what("rescale"));
-        // Potentiation column walks: a `len × 3` store, every column.
-        let stdp = StdpConfig::standard();
-        let store = clean_vec(3 * len, phase.wrapping_add(1));
-        let trace_pre: Vec<f32> = trace.iter().map(|t| t.abs().min(1.0)).collect();
-        for column in 0..3.min(store.len()) {
-            let mut a = store.clone();
-            let mut b = store.clone();
-            kernel.potentiate_column(&mut a, 3, column, &trace_pre, &stdp, 1.0);
-            kernel.potentiate_column_clean(&mut b, 3, column, &trace_pre, &stdp, 1.0);
-            assert_eq!(bits(&b), bits(&a), "{}", what("potentiate"));
-        }
-    }
-}
-
-#[test]
-fn every_tail_alignment_is_bit_identical_across_kernels() {
-    // 0..=23 covers each residue n % 8 three times, with the nasty bank
-    // rotated so NaN/Inf/denormal words visit every lane of the 8-wide
-    // body and every position of the scalar tail.
-    for len in 0..=23 {
-        for phase in 0..NASTY.len() {
-            check_kernels_agree(len, phase);
-            check_clean_kernels_match_generic(len, phase);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Any point of the full axis ranges matches the reference.
-    #[test]
-    fn arbitrary_engine_points_match_the_reference(
-        precision_idx in 0usize..3,
-        clamp_reads in any::<bool>(),
-        hard_wta in any::<bool>(),
-        batch in 1usize..32,
-        threads in 1usize..6,
-        tile in 1usize..40,
-        kernel_idx in 0usize..3,
-        intra_idx in 0usize..6,
-        seed in 0u64..1000,
-    ) {
-        let storage = Storage {
-            precision: PRECISIONS[precision_idx],
-            clamp_reads,
-            hard_wta,
-        };
-        let kernel = [Scalar, K_AUTO, Avx2][kernel_idx];
-        let intra = [Off, I_AUTO, Workers(2), Workers(3), Workers(6), Workers(17)][intra_idx];
-        let point = row(storage, batch, threads, tile, kernel, intra);
-        let (want, labeler) = reference(storage, seed);
-        prop_assert_eq!(engine(point, seed, &labeler), want);
-    }
-
-    /// Any (len, phase) point: bitwise agreement of every kernel entry
-    /// point, covering all tail alignments and nasty-word rotations the
-    /// deterministic sweep does not enumerate.
-    #[test]
-    fn arbitrary_lane_counts_agree_bitwise(
-        len in 0usize..64,
-        phase in 0usize..256,
-    ) {
-        check_kernels_agree(len, phase);
-        check_clean_kernels_match_generic(len, phase);
     }
 }

@@ -1,168 +1,66 @@
-//! Property tests for the intra-chunk parallel tile sweep: `run_batch`
-//! may fan the zero → accumulate → integrate phase of each timestep out
-//! across pool workers (`SPARKXD_INTRA` / `BatchState::with_intra`), with
-//! every worker owning a contiguous range of tiles — disjoint neuron
-//! lanes of the `[B × n]` drive slab — and a barrier before the global
-//! firing-commit/inhibition pass. The split must never change a result:
-//! spike counts, labels, accuracy and per-lane membrane words stay
-//! bit-identical to the serial sweep for **any** worker count.
-//!
-//! Why bit-identity holds by construction: range jobs split on *tile*
-//! boundaries, so each lane sees the same merged rows added in the same
-//! ascending order as the serial sweep, and per-job `any_crossed` slots
-//! are OR-reduced in job order after the barrier. These tests exist to
-//! catch regressions of exactly that construction — a split mid-tile, a
-//! racy reduction, a lane range off by one at a worker boundary.
-//!
-//! Mirrors `tile_invariance.rs`: intra/tile/batch/thread/kernel pinning
-//! goes through the `BatchEvaluator`/`BatchState` APIs rather than the
-//! process-global environment, so these tests can run concurrently.
-//! (`thread_invariance.rs` owns the env-var axis.)
+//! Intra-chunk split axis of the engine invariance proof: the tile sweep
+//! split into range-jobs on pool workers reproduces the `run_sample`
+//! reference bit for bit, whatever the job count. The fixture, reference
+//! and checker are in `invariance/mod.rs`.
 
+mod invariance;
+
+use invariance::*;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
-use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
-use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, QuantizedImage,
-    RunState, SnnConfig, WeightPrecision,
-};
-use std::sync::OnceLock;
+use sparkxd::snn::BatchState;
+use sparkxd::snn::IntraChoice::{Off, Workers};
+use sparkxd::snn::KernelChoice::{Avx2, Scalar};
 
-/// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
-/// the trained weights are replaced by their packed-image round-trip, so
-/// the whole invariance matrix runs on the quantised weight substrate
-/// (the corrupt words are planted afterwards and survive untouched).
-fn apply_storage_precision(net: &mut DiehlCookNetwork) {
-    let precision = WeightPrecision::from_env();
-    if precision.is_quantized() {
-        net.set_weights(QuantizedImage::roundtrip(net.weights(), precision));
-    }
-}
-
-/// A trained network at `n_neurons = 23` — prime, so no tile width in
-/// `2..23` divides it, every multi-tile sweep ends on a ragged tail tile,
-/// and no (tile, intra) pair splits the lane axis evenly — with
-/// hand-planted corruption: adjacent dead rows against the merged member
-/// lists, NaN/Inf on interior and last lanes, a negative word for the
-/// read clamp. The same adversarial fixture as `tile_invariance.rs`, so
-/// a sweep-split bug faces the same worst-case inputs the tiling did.
-fn fixture() -> &'static (NetworkParams, Dataset) {
-    static FIXTURE: OnceLock<(NetworkParams, Dataset)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let train = SynthDigits.generate(30, 1);
-        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(23).with_timesteps(30));
-        net.train_epoch(&train, 3);
-        apply_storage_precision(&mut net);
-        net.with_weights_mut(|w| {
-            for j in 0..23 {
-                w.set(40, j, 0.0); // dead row in the active band
-                w.set(41, j, 0.0); // two adjacent dead rows
-            }
-            w.set(42, 3, f32::NAN);
-            w.set(42, 22, f32::INFINITY); // corrupt word on the last lane
-            w.set(43, 0, -2.0);
-        });
-        (net.into_params(), SynthDigits.generate(13, 2))
-    })
-}
-
-/// Per-sample scalar reference counts: one `run_sample` per image — the
-/// unchanged oracle every batched/tiled/intra path must reproduce.
-fn scalar_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
-    let mut state = RunState::for_params(params);
-    (0..data.len())
-        .map(|idx| {
-            let mut rng = sample_rng(seed, idx as u64);
-            params
-                .run_sample(&mut state, data.get(idx).0.pixels(), &mut rng)
-                .unwrap()
-        })
-        .collect()
-}
-
-/// Batched counts at one (intra, kernel, batch, tile) point.
-fn intra_counts(
-    params: &NetworkParams,
-    data: &Dataset,
-    seed: u64,
-    intra: IntraChoice,
-    kernel: KernelChoice,
-    batch: usize,
-    tile: usize,
-) -> Vec<Vec<u32>> {
-    let mut state = BatchState::for_params(params, batch)
-        .with_tile(tile)
-        .with_kernel(kernel)
-        .with_intra(intra);
-    let mut got = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + batch).min(data.len());
-        let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-        let mut rngs: Vec<StdRng> = (start..end).map(|i| sample_rng(seed, i as u64)).collect();
-        got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-        start = end;
-    }
-    got
-}
+/// `Workers(k)` splits the tiles into `min(k, tiles)` range-jobs:
+/// `Workers(17)` at tile 1 puts a job boundary between most lanes,
+/// `Workers(6)` at tile 7 clamps to four jobs, and `Off` or a single tile
+/// runs one job on the caller.
+const ROWS: [Point; 10] = [
+    row(FP32, 3, 1, 1, Avx2, Workers(2)),
+    row(FP32, 13, 1, 1, Scalar, Workers(17)),
+    row(FP32, 2, 1, 5, K_AUTO, Workers(3)),
+    row(FP32, 8, 1, 7, K_AUTO, Workers(6)),
+    row(FP32, 8, 1, 7, Avx2, Workers(17)),
+    row(FP32, 13, 1, 9, Scalar, I_AUTO),
+    row(FP32, 2, 1, 23, K_AUTO, Workers(6)),
+    row(FP32, 13, 2, 5, Scalar, Off),
+    row(FP32, 2, 1, MAX, Avx2, Workers(3)),
+    row(FP32, 13, 5, 1, K_AUTO, I_AUTO),
+];
 
 #[test]
 fn issue_intra_matrix_is_bit_identical_to_scalar_reference() {
-    let (params, data) = fixture();
-    let reference = scalar_counts(params, data, 31);
-    // Workers(2/3/5) force real multi-worker splits regardless of host
-    // cores (explicit pins oversubscribe deliberately, like
-    // SPARKXD_THREADS); Auto exercises the budget-sized path — which may
-    // resolve to the serial sweep on small hosts, itself a point worth
-    // pinning. Tile widths reuse the boundary shapes of
-    // `tile_invariance.rs`: at tile=1 each of 23 tiles is one lane, so
-    // Workers(5) puts worker boundaries *inside* what a single tile
-    // covers at any wider setting.
-    for intra in [
-        IntraChoice::Off,
-        IntraChoice::Auto,
-        IntraChoice::Workers(2),
-        IntraChoice::Workers(3),
-        IntraChoice::Workers(5),
-    ] {
-        for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
-            for tile in [1usize, 5, 9, 23, usize::MAX] {
-                for batch in [2usize, 13] {
-                    assert_eq!(
-                        intra_counts(params, data, 31, intra, kernel, batch, tile),
-                        reference,
-                        "intra={intra:?} kernel={} tile={tile} batch={batch}",
-                        kernel.name()
-                    );
-                }
-            }
-        }
+    check_rows(&ROWS);
+}
+
+#[test]
+fn membrane_words_are_bit_identical_lane_by_lane() {
+    // Spike counts could in principle agree while membrane trajectories
+    // drift (counts quantise), so compare the accuracy at full bit
+    // precision, plus labels, with chunk sharding layered on the split
+    // sweep at a tile width the table does not use.
+    let (want, labeler) = reference(FP32, 5);
+    for intra in [I_AUTO, Workers(2), Workers(7)] {
+        let point = row(FP32, 5, 2, 4, K_AUTO, intra);
+        assert_eq!(engine(point, 5, &labeler), want, "{point:?}");
     }
 }
 
 #[test]
 fn hard_wta_winner_is_resolved_across_worker_boundaries() {
-    // Hard WTA picks one global winner per timestep. With tile width 1
-    // and four workers over 17 single-lane tiles, the candidates of one
-    // timestep span every worker's range — any per-worker shortcut in
-    // the winner reduction, or a commit that ran before the barrier,
+    // With tile width 1 and several jobs over 17 single-lane tiles, the
+    // candidates of one timestep span every job's range: any per-job
+    // shortcut in the winner reduction, or a commit before the barrier,
     // diverges here.
-    let mut config = SnnConfig::for_neurons(17).with_timesteps(25);
-    config.hard_wta = true;
-    let params = NetworkParams::new(config);
-    let data = SynthDigits.generate(7, 5);
-    let reference = scalar_counts(&params, &data, 9);
-    let total: u32 = reference.iter().flatten().sum();
-    assert!(total > 0, "hard-WTA fixture must actually spike");
-    for intra in [
-        IntraChoice::Workers(2),
-        IntraChoice::Workers(4),
-        IntraChoice::Workers(17),
-    ] {
+    let (params, data, reference) = hard_wta_fixture();
+    for intra in [Workers(2), Workers(4), Workers(17)] {
         for tile in [1usize, 2, 16] {
+            let state = BatchState::for_params(&params, 4)
+                .with_tile(tile)
+                .with_kernel(K_AUTO)
+                .with_intra(intra);
             assert_eq!(
-                intra_counts(&params, &data, 9, intra, KernelChoice::Auto, 4, tile),
+                run_batch_counts(&params, &data, 9, 4, state),
                 reference,
                 "intra={intra:?} tile={tile}"
             );
@@ -170,83 +68,20 @@ fn hard_wta_winner_is_resolved_across_worker_boundaries() {
     }
 }
 
-#[test]
-fn membrane_words_are_bit_identical_lane_by_lane() {
-    // Spike counts could in principle agree while membrane trajectories
-    // drift (counts quantise). Compare the evaluate() accuracy — an f64
-    // computed from every per-sample outcome — at full bit precision,
-    // plus labels, across the intra axis driven through the evaluator
-    // stack (which also layers chunk sharding on top of the sweep).
-    let (params, data) = fixture();
-    let scalar = BatchEvaluator::with_threads(1)
-        .with_batch(1)
-        .with_kernel(KernelChoice::Scalar)
-        .with_intra(IntraChoice::Off);
-    let labels_ref = scalar.label_neurons(params, data, 5);
-    let accuracy_ref = scalar.evaluate(params, data, &labels_ref, 5);
-    for intra in [
-        IntraChoice::Auto,
-        IntraChoice::Workers(2),
-        IntraChoice::Workers(7),
-    ] {
-        let eval = BatchEvaluator::with_threads(2)
-            .with_batch(5)
-            .with_tile(4)
-            .with_intra(intra);
-        let labels = eval.label_neurons(params, data, 5);
-        assert_eq!(labels.assignments(), labels_ref.assignments(), "{intra:?}");
-        let accuracy = eval.evaluate(params, data, &labels_ref, 5);
-        assert_eq!(
-            accuracy.to_bits(),
-            accuracy_ref.to_bits(),
-            "accuracy diverged under {intra:?}: {accuracy} vs {accuracy_ref}"
-        );
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any (intra, kernel, batch, thread, tile, seed) point — the full
-    /// five-axis matrix from the issue, driven through the complete
-    /// `BatchEvaluator` sharding stack — matches the scalar serial path.
+    /// Any intra split, at any point of the other axes.
     #[test]
     fn arbitrary_intra_points_match_scalar(
-        intra_idx in 0usize..5,
+        intra_idx in 0usize..6,
         kernel_idx in 0usize..3,
-        batch in 1usize..12,
-        threads in 1usize..5,
+        batch in 1usize..32,
+        threads in 1usize..6,
+        storage_idx in 0usize..12,
         tile in 1usize..40,
         seed in 0u64..1000,
     ) {
-        let intra = [
-            IntraChoice::Off,
-            IntraChoice::Auto,
-            IntraChoice::Workers(2),
-            IntraChoice::Workers(3),
-            IntraChoice::Workers(6),
-        ][intra_idx];
-        let kernel = [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2][kernel_idx];
-        let (params, data) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar)
-            .with_intra(IntraChoice::Off);
-        let split = BatchEvaluator::with_threads(threads)
-            .with_batch(batch)
-            .with_tile(tile)
-            .with_kernel(kernel)
-            .with_intra(intra);
-        prop_assert_eq!(
-            split.spike_counts(params, data, seed),
-            scalar.spike_counts(params, data, seed)
-        );
-        let scalar_labels = scalar.label_neurons(params, data, seed);
-        let split_labels = split.label_neurons(params, data, seed);
-        prop_assert_eq!(split_labels.assignments(), scalar_labels.assignments());
-        prop_assert_eq!(
-            split.evaluate(params, data, &scalar_labels, seed),
-            scalar.evaluate(params, data, &scalar_labels, seed)
-        );
+        check_drawn(storage_idx, batch, threads, tile, kernel_idx, intra_idx, seed)?;
     }
 }

@@ -1,30 +1,38 @@
-//! Property tests for the runtime-dispatched kernel layer: every kernel
-//! in [`Kernel::available()`] must produce **bit-identical** results —
-//! at the single-call level (drive accumulate, LIF lane update,
-//! inhibition sweep, and training's fused depression + drive pass,
-//! normalisation scale pass and potentiation column walk) and through the
-//! full `BatchEvaluator` stack — to the portable scalar kernel, for any
-//! weight contents (NaN, ±Inf, negatives, denormals, signed zero), any
-//! dead-row pattern, and every tail alignment `n % 8 ∈ {0..7}` the 8-lane
-//! AVX2 bodies can mishandle.
-//! Training's clean-store entry points must also equal their generic
-//! kernels on every clean word (`0 <= w <= w_max`), under every kernel.
-//!
-//! Mirrors `tile_invariance.rs`: kernel pinning goes through the
-//! `BatchEvaluator::with_kernel` / `BatchState::with_kernel` APIs rather
-//! than the process-global `SPARKXD_KERNEL`, so these tests can run
-//! concurrently. (`thread_invariance.rs` owns the env-var axis.)
+//! Kernel axis of the engine invariance proof: the portable, AVX2 and
+//! auto-dispatched kernels reproduce the `run_sample` reference bit for
+//! bit through the whole engine, on the fixture, reference and checker in
+//! `invariance/mod.rs`. Below the engine, the sweeps prove every kernel
+//! entry point bit-identical to the portable kernel at every tail
+//! alignment, on NaN, ±Inf, denormal and signed-zero words.
 
+mod invariance;
+
+use invariance::*;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
-use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::kernels::LifLanes;
-use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, Kernel, KernelChoice, LifConfig, NetworkParams,
-    QuantizedImage, RunState, SnnConfig, StdpConfig, WeightPrecision,
-};
-use std::sync::OnceLock;
+use sparkxd::snn::IntraChoice::{Off, Workers};
+use sparkxd::snn::KernelChoice::{Avx2, Scalar};
+use sparkxd::snn::{Kernel, LifConfig, StdpConfig};
+
+/// Each kernel at one-lane, ragged, exact-fit and single tiles, on
+/// batches of 2, 5 and 13. `Avx2` falls back to the portable kernel on a
+/// host without AVX2.
+const ROWS: [Point; 9] = [
+    row(FP32, 2, 1, 1, Scalar, Off),
+    row(FP32, 5, 1, 9, Scalar, Workers(2)),
+    row(FP32, 13, 2, MAX, Scalar, I_AUTO),
+    row(FP32, 5, 1, 1, K_AUTO, Off),
+    row(FP32, 13, 1, 5, K_AUTO, Workers(3)),
+    row(FP32, 2, 2, 23, K_AUTO, Off),
+    row(FP32, 13, 1, 1, Avx2, Off),
+    row(FP32, 2, 1, 5, Avx2, Off),
+    row(FP32, 5, 2, 23, Avx2, I_AUTO),
+];
+
+#[test]
+fn issue_kernel_matrix_is_bit_identical_to_scalar_reference() {
+    check_rows(&ROWS);
+}
 
 /// A bank of adversarial f32 words: quiet NaN, both infinities, signed
 /// zeros, denormals, large finite magnitudes and ordinary negatives.
@@ -264,104 +272,22 @@ fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
     }
 }
 
-/// Applies the CI storage knob: with `SPARKXD_PRECISION=int8|int16` set,
-/// the trained weights are replaced by their packed-image round-trip, so
-/// the whole invariance matrix runs on the quantised weight substrate
-/// (the corrupt words are planted afterwards and survive untouched).
-fn apply_storage_precision(net: &mut DiehlCookNetwork) {
-    let precision = WeightPrecision::from_env();
-    if precision.is_quantized() {
-        net.set_weights(QuantizedImage::roundtrip(net.weights(), precision));
-    }
-}
-
-/// A trained network at `n_neurons = 23` (prime: every multi-tile sweep
-/// ends on a ragged tail, and 23 % 8 = 7 exercises the widest SIMD tail)
-/// with hand-planted corruption: adjacent dead rows against the merged
-/// member lists, NaN/Inf on interior and last lanes, a negative word for
-/// the clamp, and a denormal for the effective-weight transform.
-fn fixture() -> &'static (NetworkParams, Dataset) {
-    static FIXTURE: OnceLock<(NetworkParams, Dataset)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let train = SynthDigits.generate(30, 1);
-        let mut net = DiehlCookNetwork::new(SnnConfig::for_neurons(23).with_timesteps(30));
-        net.train_epoch(&train, 3);
-        apply_storage_precision(&mut net);
-        net.with_weights_mut(|w| {
-            for j in 0..23 {
-                w.set(40, j, 0.0); // dead row in the active band
-                w.set(41, j, 0.0); // two adjacent dead rows
-            }
-            w.set(42, 3, f32::NAN);
-            w.set(42, 22, f32::INFINITY); // corrupt word on the last lane
-            w.set(43, 0, -2.0);
-            w.set(43, 7, 1.5e-41); // denormal on an 8-lane boundary
-        });
-        (net.into_params(), SynthDigits.generate(13, 2))
-    })
-}
-
-/// Per-sample scalar reference counts on the pinned portable kernel —
-/// the unchanged `run_sample` oracle.
-fn scalar_counts(params: &NetworkParams, data: &Dataset, seed: u64) -> Vec<Vec<u32>> {
-    let mut state = RunState::for_params(params).with_kernel(KernelChoice::Scalar);
-    (0..data.len())
-        .map(|idx| {
-            let mut rng = sample_rng(seed, idx as u64);
-            params
-                .run_sample(&mut state, data.get(idx).0.pixels(), &mut rng)
-                .unwrap()
-        })
-        .collect()
-}
-
-/// Batched counts at one (kernel, batch, tile) point.
-fn batched_counts(
-    params: &NetworkParams,
-    data: &Dataset,
-    seed: u64,
-    choice: KernelChoice,
-    batch: usize,
-    tile: usize,
-) -> Vec<Vec<u32>> {
-    let mut state = BatchState::for_params(params, batch)
-        .with_tile(tile)
-        .with_kernel(choice);
-    let mut got = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + batch).min(data.len());
-        let pixels: Vec<&[f32]> = (start..end).map(|i| data.get(i).0.pixels()).collect();
-        let mut rngs: Vec<StdRng> = (start..end).map(|i| sample_rng(seed, i as u64)).collect();
-        got.extend(params.run_batch(&mut state, &pixels, &mut rngs).unwrap());
-        start = end;
-    }
-    got
-}
-
-#[test]
-fn issue_kernel_matrix_is_bit_identical_to_scalar_reference() {
-    let (params, data) = fixture();
-    let reference = scalar_counts(params, data, 31);
-    // Auto and Avx2 resolve to whatever the host supports (Avx2 falls
-    // back to scalar off-AVX2 hosts, so the matrix is portable); tile
-    // widths pin the same boundary shapes as `tile_invariance.rs`.
-    for choice in [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2] {
-        for tile in [1usize, 5, 9, 23, usize::MAX] {
-            for batch in [2usize, 5, 13] {
-                assert_eq!(
-                    batched_counts(params, data, 31, choice, batch, tile),
-                    reference,
-                    "kernel={} tile={tile} batch={batch}",
-                    choice.name()
-                );
-            }
-        }
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Any kernel, at any point of the other axes.
+    #[test]
+    fn arbitrary_kernel_points_match_scalar(
+        kernel_idx in 0usize..3,
+        batch in 1usize..32,
+        threads in 1usize..6,
+        storage_idx in 0usize..12,
+        tile in 1usize..40,
+        intra_idx in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        check_drawn(storage_idx, batch, threads, tile, kernel_idx, intra_idx, seed)?;
+    }
 
     /// Any (len, phase) point: bitwise agreement of every kernel entry
     /// point, covering all tail alignments and nasty-word rotations the
@@ -373,46 +299,5 @@ proptest! {
     ) {
         check_kernels_agree(len, phase);
         check_clean_kernels_match_generic(len, phase);
-    }
-
-    /// Any (kernel, batch, thread, tile, intra, seed) point — driven
-    /// through the full `BatchEvaluator` sharding stack — matches the
-    /// pinned-scalar serial path on labels, tiers and spike counts.
-    #[test]
-    fn arbitrary_kernel_points_match_scalar(
-        kernel_idx in 0usize..3,
-        batch in 1usize..12,
-        threads in 1usize..5,
-        tile in 1usize..40,
-        intra_idx in 0usize..4,
-        seed in 0u64..1000,
-    ) {
-        let choice = [KernelChoice::Scalar, KernelChoice::Auto, KernelChoice::Avx2][kernel_idx];
-        let intra = [
-            IntraChoice::Off,
-            IntraChoice::Auto,
-            IntraChoice::Workers(2),
-            IntraChoice::Workers(3),
-        ][intra_idx];
-        let (params, data) = fixture();
-        let scalar = BatchEvaluator::with_threads(1)
-            .with_batch(1)
-            .with_kernel(KernelChoice::Scalar);
-        let simd = BatchEvaluator::with_threads(threads)
-            .with_batch(batch)
-            .with_tile(tile)
-            .with_kernel(choice)
-            .with_intra(intra);
-        prop_assert_eq!(
-            simd.spike_counts(params, data, seed),
-            scalar.spike_counts(params, data, seed)
-        );
-        let scalar_labels = scalar.label_neurons(params, data, seed);
-        let simd_labels = simd.label_neurons(params, data, seed);
-        prop_assert_eq!(simd_labels.assignments(), scalar_labels.assignments());
-        prop_assert_eq!(
-            simd.evaluate(params, data, &scalar_labels, seed),
-            scalar.evaluate(params, data, &scalar_labels, seed)
-        );
     }
 }
