@@ -3,10 +3,10 @@
 //! tracked in the bench trajectory alongside the per-component numbers.
 //!
 //! The `n400_*` group is the ROADMAP's hot-path acceptance check: the
-//! batched path (`run_batch` streaming precomputed effective-weight rows
-//! once per chunk) against the reference `run_sample` (re-applying the
-//! synapse read rule to every stored weight on every access — exactly the
-//! pre-split behaviour), both on one thread. Throughput is
+//! batched path (`run_batch` summing precomputed effective-weight rows)
+//! at B ∈ {1, 2, 4, 8} against the reference `run_sample` (re-applying
+//! the synapse read rule to every stored weight on every access — exactly
+//! the pre-split behaviour), all on one thread. Throughput is
 //! reported as samples/sec via the group's `Throughput::Elements`.
 //!
 //! The `n3600_*` group is the paper-scale tiling + kernel + occupancy
@@ -96,13 +96,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_sample_counts(&params_n400, &data_n400, 9))
     });
 
-    g.bench_function(
-        format!("spike_counts_batched{DEFAULT_BATCH}_serial_n400"),
-        |b| {
-            let eval = BatchEvaluator::with_threads(1).with_batch(DEFAULT_BATCH);
+    // The engine across batch sizes around `DEFAULT_BATCH`, so the
+    // default's per-sample advantage over B = 1 stays measured.
+    for batch in [1, 2, DEFAULT_BATCH, 8] {
+        g.bench_function(format!("spike_counts_batched{batch}_serial_n400"), |b| {
+            let eval = BatchEvaluator::with_threads(1).with_batch(batch);
             b.iter(|| eval.spike_counts(&params_n400, &data_n400, 9))
-        },
-    );
+        });
+    }
     g.finish();
 
     // Paper-scale drive tiling: N3600 batched, single worker, one giant

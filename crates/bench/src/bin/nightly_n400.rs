@@ -1,8 +1,8 @@
 //! Nightly scale guard: one paper-scale (N400) pipeline end to end, an
-//! engine-throughput measurement (reference `run_sample` vs batched read
-//! path), and a drive-kernel scale sweep up to the paper's largest
-//! network (N3600, reference vs untiled vs serial-tiled vs tiled+AVX2 vs
-//! intra-parallel-tiled).
+//! engine-throughput measurement (reference `run_sample` vs the engine at
+//! B = 1 and batched), and a drive-kernel scale sweep up to the paper's
+//! largest network (N3600, reference vs untiled vs serial-tiled vs
+//! tiled+AVX2 vs intra-parallel-tiled).
 //!
 //! The per-PR suite runs demo-sized networks; scale-dependent regressions
 //! (mapping capacity at real column counts, accuracy collapse at N400,
@@ -72,18 +72,33 @@ fn trained(n_neurons: usize, train: usize, samples: usize) -> (NetworkParams, Da
     (net.into_params(), SynthDigits.generate(samples, 7))
 }
 
-/// Reference vs batched (and machine-parallel batched) inference
-/// throughput on a briefly trained N400 model; returns
-/// `(reference, batched, parallel)` in samples/sec.
-fn measure_throughput() -> (f64, f64, f64) {
+/// Inference throughput on a briefly trained N400 model, in samples/sec.
+struct Throughput {
+    /// `run_sample`, the reference read path.
+    reference: f64,
+    /// The engine at B = 1, one thread.
+    unbatched: f64,
+    /// The engine at `DEFAULT_BATCH`, one thread.
+    batched: f64,
+    /// The engine at `DEFAULT_BATCH` on the machine's threads.
+    parallel: f64,
+}
+
+/// Measures every [`Throughput`] pass, interleaved best-of-4.
+fn measure_throughput() -> Throughput {
     let (params, data) = trained(400, 48, 64);
-    let serial = BatchEvaluator::with_threads(1).with_batch(DEFAULT_BATCH);
+    let unbatched = BatchEvaluator::with_threads(1).with_batch(1);
+    let serial = unbatched.with_batch(DEFAULT_BATCH);
     let parallel = BatchEvaluator::from_env().with_batch(DEFAULT_BATCH);
-    let best = interleaved_best(&[None, Some(serial), Some(parallel)], 3, |&eval| {
-        inference_pass(eval, &params, &data)
-    });
+    let passes = [None, Some(unbatched), Some(serial), Some(parallel)];
+    let best = interleaved_best(&passes, 4, |&eval| inference_pass(eval, &params, &data));
     let sps = |secs: f64| data.len() as f64 / secs;
-    (sps(best[0]), sps(best[1]), sps(best[2]))
+    Throughput {
+        reference: sps(best[0]),
+        unbatched: sps(best[1]),
+        batched: sps(best[2]),
+        parallel: sps(best[3]),
+    }
 }
 
 /// One network size of the drive-kernel sweep, in samples/sec.
@@ -325,15 +340,22 @@ fn main() {
         outcome.energy.speedup()
     );
 
-    // Engine throughput: the reference `run_sample` vs the batched
-    // engine (B = DEFAULT_BATCH), single worker, plus the machine-parallel
-    // batched figure.
-    let (reference, batched, parallel) = measure_throughput();
+    // Engine throughput: the reference `run_sample` vs the engine at
+    // B = 1 and B = DEFAULT_BATCH, single worker, plus the
+    // machine-parallel batched figure.
+    let Throughput {
+        reference,
+        unbatched,
+        batched,
+        parallel,
+    } = measure_throughput();
     let ratio = batched / reference.max(f64::MIN_POSITIVE);
+    let batch_ratio = batched / unbatched.max(f64::MIN_POSITIVE);
     println!("inference throughput (N400, samples/sec):");
     println!("  run_sample (1 thread)             : {reference:8.1}");
+    println!("  engine   (1 thread, B=1)          : {unbatched:8.1}");
     println!(
-        "  batched  (1 thread, B={DEFAULT_BATCH})          : {batched:8.1}  ({ratio:.2}x run_sample)"
+        "  batched  (1 thread, B={DEFAULT_BATCH})          : {batched:8.1}  ({ratio:.2}x run_sample, {batch_ratio:.2}x B=1)"
     );
     println!("  batched  (machine threads, B={DEFAULT_BATCH})   : {parallel:8.1}");
 
@@ -427,7 +449,8 @@ fn main() {
          | DRAM energy saving | {:.1}% |\n\
          | wall time (pipeline) | {:.1?} |\n\
          | run_sample throughput (1 thread) | {reference:.1} samples/s |\n\
-         | batched throughput (1 thread, B={DEFAULT_BATCH}) | {batched:.1} samples/s ({ratio:.2}x run_sample) |\n\
+         | engine throughput (1 thread, B=1) | {unbatched:.1} samples/s |\n\
+         | batched throughput (1 thread, B={DEFAULT_BATCH}) | {batched:.1} samples/s ({ratio:.2}x run_sample, {batch_ratio:.2}x B=1) |\n\
          | batched throughput (machine threads, B={DEFAULT_BATCH}) | {parallel:.1} samples/s |\n\
          | DRAM replay, per-access | {replay_per_access:.0} accesses/s |\n\
          | DRAM replay, compressed | {replay_compressed:.0} accesses/s ({replay_ratio:.1}x per-access) |\n\
@@ -444,6 +467,14 @@ fn main() {
     // Perf gates last, so a tripped bound never discards the summary the
     // diagnosis needs.
     gate("compressed replay vs per-access", replay_ratio, 2.0);
+    // Batching must pay per sample: the engine at DEFAULT_BATCH shares
+    // the chunk's encode and sweep overheads across its samples, so on
+    // one thread it must beat B = 1 by a clear margin.
+    gate(
+        &format!("B={DEFAULT_BATCH} vs B=1 at N400 (1 thread)"),
+        batch_ratio,
+        1.05,
+    );
     // Packed-image traffic: the int8 N400 image must replay in at most
     // 0.3x the FP32 trace's op count (quarter the columns, with
     // row-activation overhead bounded) and cost proportionally less.

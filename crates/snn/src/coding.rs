@@ -4,6 +4,7 @@
 //! (Section V); each pixel's intensity sets the firing rate of its input
 //! line. A deterministic encoder is provided for reproducible unit tests.
 
+use crate::kernels::Kernel;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -92,6 +93,69 @@ impl PoissonEncoder {
         draw_planned(plan, rng, active, |i| i as usize);
     }
 
+    /// Samples one timestep for every stream of a chunk: `active[b]`
+    /// receives exactly what
+    /// [`encode_planned_step`](Self::encode_planned_step)`(&plans[b], &mut rngs[b], &mut active[b])`
+    /// would give, and `rngs[b]` ends where those draws end.
+    ///
+    /// The streams are independent, so the AVX2 kernel steps them in
+    /// lockstep: four xoshiro256++ states, one 64-bit lane per stream,
+    /// draw the plans' common prefix together. A lane accepts when
+    /// `(r >> 40) < threshold`, which is `(next_u32() >> 8) < threshold`
+    /// for the 64-bit draw `r`; the threshold (at most 2²⁴) and the
+    /// shifted draw are both non-negative as `i64`, so the signed 64-bit
+    /// compare decides it exactly. Each stream's state is then written
+    /// back and its longer plan finished by the serial loop. A chunk is
+    /// cut into groups of four; a final group of two or three pads its
+    /// spare lanes with a copy of its first stream that is never written
+    /// back, and a single stream stays serial. The portable kernel runs
+    /// the serial step per stream, the reference the lockstep draw is
+    /// tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plans`, `rngs` and `active` have different lengths.
+    pub fn encode_planned_chunk(
+        &self,
+        kernel: Kernel,
+        plans: &[Vec<(u32, u32)>],
+        rngs: &mut [StdRng],
+        active: &mut [Vec<usize>],
+    ) {
+        assert!(
+            plans.len() == rngs.len() && active.len() == rngs.len(),
+            "one plan, RNG stream and output list per sample"
+        );
+        let mut start = 0;
+        #[cfg(target_arch = "x86_64")]
+        if kernel.run_avx2() {
+            while rngs.len() - start >= 2 {
+                let group = start..(start + 4).min(rngs.len());
+                let (plans, rngs, active) = (
+                    &plans[group.clone()],
+                    &mut rngs[group.clone()],
+                    &mut active[group.clone()],
+                );
+                // SAFETY: AVX2 presence verified by `run_avx2` just above;
+                // each call gets as many plans, streams and outputs as its
+                // lane count.
+                unsafe {
+                    match group.len() {
+                        4 => lockstep::draw::<4>(plans, rngs, active),
+                        3 => lockstep::draw::<3>(plans, rngs, active),
+                        _ => lockstep::draw::<2>(plans, rngs, active),
+                    }
+                }
+                start = group.end;
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = kernel;
+        for b in start..rngs.len() {
+            self.encode_planned_step(&plans[b], &mut rngs[b], &mut active[b]);
+        }
+    }
+
     /// [`encode_planned_step`](Self::encode_planned_step) that *appends*
     /// the step's firing input lines to `active` as `u32`s, so a whole
     /// presentation can be encoded into one flat buffer ahead of training.
@@ -127,6 +191,116 @@ fn draw_planned<T: Copy + Default>(
     }
     out.truncate(len);
     *rng = local;
+}
+
+/// The AVX2 lockstep draw of
+/// [`PoissonEncoder::encode_planned_chunk`].
+#[cfg(target_arch = "x86_64")]
+mod lockstep {
+    use super::draw_planned;
+    use rand::rngs::StdRng;
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi64, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_movemask_pd,
+        _mm256_or_si256, _mm256_set_epi64x, _mm256_slli_epi64, _mm256_srli_epi64,
+        _mm256_storeu_si256, _mm256_xor_si256,
+    };
+
+    /// One xoshiro256++ state word of four streams, stream `l` in lane `l`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn word(states: &[[u64; 4]; 4], k: usize) -> __m256i {
+        _mm256_set_epi64x(
+            states[3][k] as i64,
+            states[2][k] as i64,
+            states[1][k] as i64,
+            states[0][k] as i64,
+        )
+    }
+
+    /// Draws one timestep for `N` (2–4) streams: the plans' common
+    /// prefix in lockstep, then each stream's rest serially. Lanes past
+    /// `N` mirror stream 0 and are discarded.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, and `plans`, `rngs` and `active` must each
+    /// hold exactly `N` entries.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn draw<const N: usize>(
+        plans: &[Vec<(u32, u32)>],
+        rngs: &mut [StdRng],
+        active: &mut [Vec<usize>],
+    ) {
+        debug_assert!(plans.len() == N && rngs.len() == N && active.len() == N);
+        let lane = |l: usize| if l < N { l } else { 0 };
+        let plan: [&[(u32, u32)]; 4] = std::array::from_fn(|l| plans[lane(l)].as_slice());
+        let states: [[u64; 4]; 4] = std::array::from_fn(|l| rngs[lane(l)].state());
+        let common = plan.iter().map(|p| p.len()).min().unwrap_or(0);
+        let mut out = [std::ptr::null_mut::<usize>(); N];
+        for (l, slot) in out.iter_mut().enumerate() {
+            active[l].clear();
+            active[l].reserve(plan[l].len());
+            *slot = active[l].as_mut_ptr();
+        }
+        let (mut s0, mut s1, mut s2, mut s3) = (
+            word(&states, 0),
+            word(&states, 1),
+            word(&states, 2),
+            word(&states, 3),
+        );
+        let mut len = [0usize; N];
+        for k in 0..common {
+            // xoshiro256++ `next_u64`, lane for lane: the result is
+            // rotl(s0 + s3, 23) + s0, then the state update.
+            let sum = _mm256_add_epi64(s0, s3);
+            let rot = _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
+            let draw = _mm256_add_epi64(rot, s0);
+            let t = _mm256_slli_epi64::<17>(s1);
+            s2 = _mm256_xor_si256(s2, s0);
+            s3 = _mm256_xor_si256(s3, s1);
+            s1 = _mm256_xor_si256(s1, s2);
+            s0 = _mm256_xor_si256(s0, s3);
+            s2 = _mm256_xor_si256(s2, t);
+            s3 = _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3));
+            // SAFETY: `k < common`, the shortest plan's length.
+            let entry = unsafe {
+                [
+                    *plan[0].get_unchecked(k),
+                    *plan[1].get_unchecked(k),
+                    *plan[2].get_unchecked(k),
+                    *plan[3].get_unchecked(k),
+                ]
+            };
+            let threshold = _mm256_set_epi64x(
+                i64::from(entry[3].1),
+                i64::from(entry[2].1),
+                i64::from(entry[1].1),
+                i64::from(entry[0].1),
+            );
+            let accept = _mm256_cmpgt_epi64(threshold, _mm256_srli_epi64::<40>(draw));
+            let accept = _mm256_movemask_pd(_mm256_castsi256_pd(accept)) as usize;
+            for l in 0..N {
+                // SAFETY: `len[l] <= k < common <= plan[l].len()`, within
+                // the capacity reserved above.
+                unsafe { *out[l].add(len[l]) = entry[l].0 as usize };
+                len[l] += (accept >> l) & 1;
+            }
+        }
+        let mut words = [[0u64; 4]; 4];
+        for (dst, s) in words.iter_mut().zip([s0, s1, s2, s3]) {
+            // SAFETY: `dst` is 32 writable bytes; the store is unaligned.
+            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), s) };
+        }
+        for l in 0..N {
+            // SAFETY: slots `0..len[l]` were written above (each accepted
+            // slot before its count advanced past it), within capacity.
+            unsafe { active[l].set_len(len[l]) };
+            rngs[l] = StdRng::from_state([words[0][l], words[1][l], words[2][l], words[3][l]]);
+            draw_planned(&plan[l][common..], &mut rngs[l], &mut active[l], |i| {
+                i as usize
+            });
+        }
+    }
 }
 
 impl Default for PoissonEncoder {

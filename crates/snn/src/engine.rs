@@ -95,28 +95,40 @@ pub const INTRA_ENV: &str = "SPARKXD_INTRA";
 
 /// Samples presented together per [`NetworkParams::run_batch`] call when
 /// neither [`BatchEvaluator::with_batch`] nor `SPARKXD_BATCH` says
-/// otherwise. Large enough to amortise weight-row streaming and the
-/// per-presentation spike-plan build — measured fastest in the 2–8 band
-/// at N400, degrading beyond it.
+/// otherwise.
 ///
-/// The batch size no longer has to keep the whole `[B × n_neurons]`
-/// drive slab cache-resident: beyond ~N1600 that slab outgrows L1 at any
-/// useful B, so [`NetworkParams::run_batch`] sweeps it in neuron tiles of
-/// [`DEFAULT_TILE`] lanes (`SPARKXD_TILE` overrides; see
-/// [`tile_width`]) and only the `[B × tile]` working set must stay hot.
+/// A chunk shares its per-timestep overheads across its samples, and the
+/// AVX2 encoder draws up to four samples' spike trains in lockstep, so
+/// B = 4 is the smallest chunk that fills the encoder. Measured with the
+/// `batch_eval` bench (N400, 48 samples × 50 timesteps, one thread, AVX2,
+/// 2-core host), the median per pass over three runs was:
+///
+/// | B | run 1 | run 2 | run 3 |
+/// |---|---|---|---|
+/// | 1 | 6.18 ms | 4.42 ms | 5.66 ms |
+/// | 2 | 6.81 ms | 4.69 ms | 5.57 ms |
+/// | 4 | 5.44 ms | 4.12 ms | 4.59 ms |
+/// | 8 | 4.09 ms | 3.72 ms | 4.56 ms |
+///
+/// So B = 4 runs 1.07–1.23× faster per sample than B = 1, B = 2 stays
+/// within 10% of B = 1 either way, and B = 8 is no slower than B = 4; a
+/// larger chunk also takes a service longer to fill. The batch size does
+/// not bound the sweep's working set: each sample's drive is one
+/// `[tile]` block (see [`DEFAULT_TILE`]).
 pub const DEFAULT_BATCH: usize = 4;
 
 /// Neuron-tile width of the batched drive matrix when neither
 /// [`BatchState::with_tile`](crate::network::BatchState::with_tile) nor
 /// `SPARKXD_TILE` says otherwise.
 ///
-/// Drive accumulation touches the `[B × tile]` drive tile once per
-/// distinct active row, so the tile — not the full `[B × n_neurons]`
-/// slab — is the read path's resident working set. At the default
-/// `B = 4`, a 512-lane tile is 8 KiB of drive plus a 2 KiB row slice:
-/// comfortably L1 even with the membrane slabs of the lane being
-/// integrated. Networks with `n_neurons ≤ tile` (the paper's N400 at
-/// this default) run as a single tile, which is exactly the untiled
+/// Per tile and sample, the sweep sums the sample's active rows into a
+/// `[tile]` drive block and integrates the tile's membrane lanes from it
+/// straight away, so between the two passes the working set is that
+/// block and those lanes, not the sample's full `[n_neurons]` slabs: at
+/// 512 lanes, 2 KiB of drive and about 6.5 KiB of membrane state,
+/// comfortably L1. The row slices stream from the plane once per sample
+/// whatever the width. Networks with `n_neurons ≤ tile` (the paper's N400
+/// at this default) run as a single tile, which is exactly the untiled
 /// path; the tile width never changes results, only wall time.
 pub const DEFAULT_TILE: usize = 512;
 

@@ -1,7 +1,10 @@
 //! Runtime-dispatched SIMD kernels for the hot inner loops of inference
 //! and of STDP training:
 //!
-//! * inference: member-row drive accumulation (both the `clamp_reads`
+//! * inference: the batched engine's per-sample row sums
+//!   ([`Kernel::sum_rows`], each drive lane summed over the sample's
+//!   active rows in registers and stored once), the reference path's
+//!   row-at-a-time drive accumulation (both the `clamp_reads`
 //!   effective-weight transform and the finite-filter path), the
 //!   branch-free LIF lane update, and the lateral-inhibition sweep;
 //! * training (`DiehlCookNetwork::train_epoch`): the fused depression +
@@ -41,7 +44,12 @@
 //! trains, one encoder cursor behind a lock so the epoch RNG is drawn in
 //! dataset order, and an inline fallback — when the trainer's sample is
 //! not ready and the cursor is free, the trainer encodes it itself, so a
-//! single configured thread or a busy helper never stalls training.
+//! single configured thread or a busy helper never stalls training. In
+//! batched inference every sample owns its RNG stream, so the chunk's
+//! streams are drawn together: the AVX2 kernel steps four xoshiro256++
+//! generators in lockstep, one per 64-bit lane
+//! ([`PoissonEncoder::encode_planned_chunk`](crate::coding::PoissonEncoder::encode_planned_chunk)),
+//! and each stream's draws and state are exactly its serial ones.
 //!
 //! # Dispatch
 //!
@@ -78,6 +86,9 @@
 //! * the finite filter *skips* non-finite weights with a blend (keeping
 //!   the accumulator's bits) instead of adding a masked zero, matching
 //!   the scalar `if w.is_finite()` exactly even for `-0.0` accumulators;
+//! * the row sums keep one accumulator per lane, started at `+0.0`, and
+//!   add the rows in the order given — per lane the same sequence as
+//!   zeroing the drive and accumulating row by row;
 //! * remainder lanes (`n % 8 != 0`) run the portable kernel itself;
 //! * the training entry points have no hand-written intrinsics: their
 //!   AVX2 arm is the portable body recompiled under
@@ -222,16 +233,50 @@ impl Kernel {
 
     #[inline]
     #[cfg(target_arch = "x86_64")]
-    fn run_avx2(self) -> bool {
+    pub(crate) fn run_avx2(self) -> bool {
         self == Kernel::Avx2 && avx2_supported()
     }
 
-    /// The fused multi-member row pass of the batched drive sweep: adds
-    /// `row_tile` (one effective row's tile slice) into the drive slice of
-    /// every batch member in `members`, i.e.
-    /// `drive[b * stride + offset ..][.. row_tile.len()] += row_tile` for
-    /// each `b`. The row tile is loaded once and applied to all members
-    /// while hot, instead of being re-streamed per member.
+    /// One sample's drive over one neuron tile: for every lane `j` of
+    /// `drive`, writes the sum of `matrix[r * stride + offset + j]` over
+    /// the rows `r` in `rows`, added in the order given onto `+0.0`:
+    /// `drive[j] = ((+0.0 + m[r₀][j]) + m[r₁][j]) + …`. That is each
+    /// lane's exact sequence under zeroing `drive` and then accumulating
+    /// the rows one by one, but the partial sums stay in registers and
+    /// each drive lane is stored once, not read and rewritten per row.
+    ///
+    /// The batched tile sweep calls this per sample with the sample's
+    /// live active rows of the [`EffectivePlane`](crate::synapse::EffectivePlane)
+    /// (`stride` = neurons, `offset` = the tile's first lane).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row's slice `[r * stride + offset, .. + drive.len())`
+    /// falls outside `matrix`.
+    pub fn sum_rows(
+        self,
+        drive: &mut [f32],
+        matrix: &[f32],
+        stride: usize,
+        offset: usize,
+        rows: &[usize],
+    ) {
+        check_row_bounds(matrix.len(), stride, offset, rows, drive.len());
+        #[cfg(target_arch = "x86_64")]
+        if self.run_avx2() {
+            // SAFETY: AVX2 presence verified at runtime just above; row
+            // bounds checked against `matrix` just above.
+            unsafe { avx2::sum_rows(drive, matrix, stride, offset, rows) };
+            return;
+        }
+        scalar::sum_rows(drive, matrix, stride, offset, rows);
+    }
+
+    /// A fused multi-member row pass: adds `row_tile` (one row's tile
+    /// slice) into the drive slice of every batch member in `members`,
+    /// i.e. `drive[b * stride + offset ..][.. row_tile.len()] += row_tile`
+    /// for each `b`. The row tile is loaded once and applied to all
+    /// members while hot, instead of being re-streamed per member.
     ///
     /// # Panics
     ///
@@ -540,17 +585,11 @@ pub struct LifLanes<'a> {
     pub crossed: &'a mut [bool],
 }
 
-/// Hints the hardware to pull `data` towards L1 ahead of use. The batched
-/// tile sweep knows the *next* merged row's tile slice while the current
-/// one is being accumulated, and consecutive merged rows live at
-/// unrelated plane addresses the hardware stride prefetcher cannot
-/// predict — so the sweep issues this across the upcoming slice to hide
-/// the inter-row latency bubble. Under the intra-chunk parallel sweep
-/// (`SPARKXD_INTRA`) the hints are per-worker: each range-job prefetches
-/// only its own tile slice of the next row, so a worker never pollutes a
-/// sibling core's L1 with lanes it will not stream. Purely a scheduling
-/// hint: results are unaffected on every target, and the function is a
-/// no-op off x86_64.
+/// Hints the hardware to pull `data` towards L1 ahead of use. The
+/// potentiation column walk issues it on the word a few inputs ahead,
+/// since consecutive words of a column lie `neurons` apart. Purely a
+/// scheduling hint: results are unaffected on every target, and the
+/// function is a no-op off x86_64.
 #[inline]
 pub fn prefetch_lanes(data: &[f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -568,6 +607,22 @@ pub fn prefetch_lanes(data: &[f32]) {
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = data;
+    }
+}
+
+/// Validates that every row's slice `[r * stride + offset, .. + len)`
+/// lies inside a matrix of `matrix_len` values (overflow-checked), so the
+/// kernels can use unchecked row addressing afterwards.
+fn check_row_bounds(matrix_len: usize, stride: usize, offset: usize, rows: &[usize], len: usize) {
+    for &r in rows {
+        let end = r
+            .checked_mul(stride)
+            .and_then(|s| s.checked_add(offset))
+            .and_then(|s| s.checked_add(len));
+        assert!(
+            end.is_some_and(|end| end <= matrix_len),
+            "row {r} slice at offset {offset} (+{len}) out of bounds (matrix has {matrix_len})"
+        );
     }
 }
 
@@ -601,6 +656,7 @@ fn check_member_bounds(
 /// for lane.
 mod scalar {
     use super::{LifConfig, StdpConfig, StoredWeights, PREFETCH_ROWS};
+    use std::slice;
 
     pub(super) fn accumulate_members(
         drive: &mut [f32],
@@ -622,6 +678,58 @@ mod scalar {
                 *d += w;
             }
         }
+    }
+
+    /// Lanes per register block of the row sums.
+    const SUM_BLOCK: usize = 32;
+
+    pub(super) fn sum_rows(
+        drive: &mut [f32],
+        matrix: &[f32],
+        stride: usize,
+        offset: usize,
+        rows: &[usize],
+    ) {
+        let mut blocks = drive.chunks_exact_mut(SUM_BLOCK);
+        let mut c = 0;
+        for block in &mut blocks {
+            sum_block::<SUM_BLOCK>(block, matrix, stride, offset + c, rows);
+            c += SUM_BLOCK;
+        }
+        let rest = blocks.into_remainder();
+        let mut blocks = rest.chunks_exact_mut(8);
+        for block in &mut blocks {
+            sum_block::<8>(block, matrix, stride, offset + c, rows);
+            c += 8;
+        }
+        for lane in blocks.into_remainder() {
+            sum_block::<1>(slice::from_mut(lane), matrix, stride, offset + c, rows);
+            c += 1;
+        }
+    }
+
+    /// `W` lanes of [`sum_rows`], starting at column `base` of each row:
+    /// the accumulators are a fixed-size array the compiler keeps in
+    /// registers.
+    #[inline(always)]
+    fn sum_block<const W: usize>(
+        drive: &mut [f32],
+        matrix: &[f32],
+        stride: usize,
+        base: usize,
+        rows: &[usize],
+    ) {
+        let mut acc = [0.0f32; W];
+        for &r in rows {
+            let start = r * stride + base;
+            let row: &[f32; W] = matrix[start..start + W]
+                .try_into()
+                .expect("slice of W lanes");
+            for (a, &w) in acc.iter_mut().zip(row) {
+                *a += w;
+            }
+        }
+        drive.copy_from_slice(&acc);
     }
 
     pub(super) fn accumulate_effective(drive: &mut [f32], row: &[f32], w_max: f32) {
@@ -804,6 +912,50 @@ mod avx2 {
 
     /// # Safety
     ///
+    /// AVX2 must be available, and every row slice
+    /// `[r * stride + offset, .. + drive.len())` must lie inside `matrix`
+    /// (the dispatcher checks both).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sum_rows(
+        drive: &mut [f32],
+        matrix: &[f32],
+        stride: usize,
+        offset: usize,
+        rows: &[usize],
+    ) {
+        let len = drive.len();
+        let m = matrix.as_ptr();
+        let d = drive.as_mut_ptr();
+        let mut c = 0;
+        // Four accumulators (32 lanes) per pass over the rows; each lane
+        // adds its rows in the given order onto +0.0, as the scalar
+        // kernel does.
+        while c + 32 <= len {
+            let mut a = [_mm256_setzero_ps(); 4];
+            for &r in rows {
+                let p = m.add(r * stride + offset + c);
+                for (k, acc) in a.iter_mut().enumerate() {
+                    *acc = _mm256_add_ps(*acc, _mm256_loadu_ps(p.add(8 * k)));
+                }
+            }
+            for (k, acc) in a.into_iter().enumerate() {
+                _mm256_storeu_ps(d.add(c + 8 * k), acc);
+            }
+            c += 32;
+        }
+        while c + 8 <= len {
+            let mut acc = _mm256_setzero_ps();
+            for &r in rows {
+                acc = _mm256_add_ps(acc, _mm256_loadu_ps(m.add(r * stride + offset + c)));
+            }
+            _mm256_storeu_ps(d.add(c), acc);
+            c += 8;
+        }
+        scalar::sum_rows(&mut drive[c..], matrix, stride, offset + c, rows);
+    }
+
+    /// # Safety
+    ///
     /// AVX2 must be available, and every member slice
     /// `[b * stride + offset, .. + row_tile.len())` must lie inside
     /// `drive` (the dispatcher checks both).
@@ -818,14 +970,11 @@ mod avx2 {
         let len = row_tile.len();
         let base = drive.as_mut_ptr();
         let row = row_tile.as_ptr();
-        // Member-outer: the whole row tile (≤ 2 KiB) stays L1-hot across
-        // every member's read-modify-write, and each member's pass is a
+        // Member-outer: the whole row tile stays L1-hot across every
+        // member's read-modify-write, and each member's pass is a
         // straight-line unrolled stream with the base pointer hoisted.
-        // The merge emits mostly 1–2 members per row, so a chunk-outer
-        // loop that re-walks the member list per 8 lanes pays more in
-        // loop overhead than it saves in row reloads. Per drive lane the
-        // adds happen in the same (single) per-row order as the scalar
-        // kernel, so bit-identity holds.
+        // Per drive lane the adds happen in the same (single) per-row
+        // order as the scalar kernel, so bit-identity holds.
         for &b in members {
             let p = base.add(b * stride + offset);
             let mut c = 0;
@@ -1242,6 +1391,13 @@ mod tests {
     fn accumulate_members_rejects_out_of_bounds_member() {
         let mut drive = vec![0.0f32; 16];
         Kernel::Scalar.accumulate_members(&mut drive, 8, 4, &[1], &[1.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn sum_rows_rejects_a_row_past_the_matrix() {
+        let mut drive = [0.0f32; 4];
+        Kernel::Scalar.sum_rows(&mut drive, &[1.0; 16], 8, 5, &[0, 1]);
     }
 
     #[test]

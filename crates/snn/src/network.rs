@@ -17,12 +17,13 @@
 //! Two inference entry points exist: [`NetworkParams::run_sample`], the
 //! scalar reference path that reads [`StoredWeights`] through the synapse
 //! rule on every access (exactly the pre-split behaviour), and
-//! [`NetworkParams::run_batch`], which presents B samples together and
-//! streams each [`EffectivePlane`] row once per batch into a
-//! `[B × n_neurons]` drive matrix, swept in cache-sized neuron tiles
-//! (`SPARKXD_TILE`) so the resident working set stays L1-sized at the
-//! paper's N3600. Per-sample RNG streams keep the two **bit-identical**
-//! for any batch size and tile width.
+//! [`NetworkParams::run_batch`], which presents B samples together: their
+//! spike trains are drawn in lockstep, and the neurons are swept in
+//! cache-sized tiles (`SPARKXD_TILE`), each sample's drive summed in
+//! registers over its live [`EffectivePlane`] rows and integrated while
+//! hot, so the resident working set stays L1-sized at the paper's N3600.
+//! Per-sample RNG streams keep the two **bit-identical** for any batch
+//! size and tile width.
 //!
 //! Both paths execute their hot inner loops (drive accumulation, LIF lane
 //! integration, the inhibition sweep) through the runtime-dispatched
@@ -269,9 +270,9 @@ impl NetworkParams {
     ///
     /// This is the reference path that [`run_batch`](Self::run_batch)
     /// is proven against, not an engine path: it reads the stored weights
-    /// through the synapse rule on every access (no
-    /// [`EffectivePlane`], no row merge, no tiles) and shares its drive
-    /// and LIF step with training. The invariance suite, the serving
+    /// through the synapse rule on every access (no [`EffectivePlane`],
+    /// no lockstep encoding, no tiles) and shares its drive and LIF step
+    /// with training. The invariance suite, the serving
     /// offline check and the benchmark's correctness check all compare
     /// against it, so it must stay independent of `run_batch`.
     ///
@@ -307,17 +308,22 @@ impl NetworkParams {
     /// steps without learning, one RNG stream per sample. This is the
     /// engine's one inference path, for every batch size including 1.
     ///
-    /// Each timestep records a k-way merge of the samples' sorted active
-    /// lists once (each distinct active row in ascending order, with the
-    /// batch members that spiked on it; rows whose effective fan-out is
-    /// all zero are skipped), then sweeps the neurons in tiles. Within a
-    /// tile, every merged row's tile slice is streamed once into a
-    /// `[B × tile]` drive scratch for all its members, and the tile's
-    /// membrane lanes are integrated immediately while the drive is hot,
-    /// so the resident working set is the tile, not the full population.
-    /// Firing resolution and lateral inhibition then run per sample over
-    /// the full population (hard WTA and inhibition strength are global
-    /// decisions).
+    /// Each timestep has three phases:
+    ///
+    /// * **Encode.** Every sample's spike train is drawn from its
+    ///   presentation plan, the chunk's streams in lockstep
+    ///   ([`PoissonEncoder::encode_planned_chunk`](crate::coding::PoissonEncoder::encode_planned_chunk)).
+    ///   Rows whose effective fan-out is all zero still draw, but never
+    ///   fire, so each sample's active list holds only live rows.
+    /// * **Sweep.** The neurons are swept in tiles. Per tile and sample,
+    ///   [`Kernel::sum_rows`] sums the sample's active rows' tile slices
+    ///   into a `[tile]` drive block with the partial sums in registers,
+    ///   and the tile's membrane lanes are integrated while the drive is
+    ///   hot, so the resident working set is the tile, not the full
+    ///   population.
+    /// * **Fire.** Firing resolution and lateral inhibition run per
+    ///   sample over the full population (hard WTA and inhibition
+    ///   strength are global decisions).
     ///
     /// The tile width comes from [`BatchState::with_tile`] if pinned, else
     /// the `SPARKXD_TILE` override / [`DEFAULT_TILE`](crate::engine::DEFAULT_TILE)
@@ -328,16 +334,22 @@ impl NetworkParams {
     /// worker ([`BatchState::with_intra`] / `SPARKXD_INTRA`). One job runs
     /// inline on the caller; more run on the persistent
     /// [`WorkerPool`](crate::engine::WorkerPool), each with its own drive
-    /// scratch and disjoint neuron lanes, and the pool call is the barrier
+    /// block and disjoint neuron lanes, and the pool call is the barrier
     /// before the firing pass. There is one job when fewer than two tiles
     /// exist or the global thread budget is exhausted.
     ///
-    /// Because sample `b` only ever consumes `rngs[b]`, per-sample
-    /// accumulation visits rows in the same ascending order as
-    /// [`run_sample`](Self::run_sample), and each membrane lane's
-    /// arithmetic is independent of the tile partition, the returned spike
-    /// counts are **bit-identical to `run_sample`** with the same RNG, for
-    /// any batch size, tile width, job count and kernel.
+    /// Because sample `b` only ever consumes `rngs[b]`, each drive lane
+    /// adds the sample's rows in the same ascending order onto the same
+    /// `+0.0` as [`run_sample`](Self::run_sample) (skipping only rows of
+    /// zeros, which change no bit of a sum that starts at `+0.0`), and
+    /// each membrane lane's arithmetic is independent of the tile
+    /// partition, the returned spike counts are **bit-identical to
+    /// `run_sample`** with the same RNG, for any batch size, tile width,
+    /// job count and kernel.
+    ///
+    /// Telemetry records one `engine.run_batch` span and a few counters
+    /// per call; in spans mode it also adds each phase's wall time to
+    /// `engine.phase_{encode,sweep,fire}_ns`, once per call.
     ///
     /// # Errors
     ///
@@ -395,15 +407,25 @@ impl NetworkParams {
         }
         // Per-pixel spike thresholds are a pure function of the sample:
         // compute them once per presentation instead of once per timestep.
+        // A dead row keeps its draw, so every stream stays aligned with
+        // `run_sample`, but a zero threshold never accepts it: its zeros
+        // would change no drive bit, so it is filtered here once instead
+        // of on every timestep.
         for (b, pixels) in samples.iter().enumerate() {
-            self.config.encoder.plan(pixels, &mut state.plans[b]);
+            let plan = &mut state.plans[b];
+            self.config.encoder.plan(pixels, plan);
+            for (row, threshold) in plan.iter_mut() {
+                if !self.plane.row_live(*row as usize) {
+                    *threshold = 0;
+                }
+            }
         }
         // Drive is only read inside its own tile, so each job sweeps
-        // through a private `[B × tile]` scratch.
-        state.drive.resize(jobs * b_count * tile, 0.0);
+        // through a private `[tile]` block.
+        state.drive.resize(jobs * tile, 0.0);
         state.job_any.resize(jobs * b_count, false);
         // Disjoint borrows of the scratch fields, so the tile sweep can
-        // read the recorded merge while writing the drive/membrane slabs.
+        // read the active lists while writing the drive/membrane slabs.
         let BatchState {
             v,
             theta,
@@ -411,11 +433,6 @@ impl NetworkParams {
             drive,
             active,
             plans,
-            cursor,
-            heads,
-            merged_rows,
-            member_starts,
-            members_flat,
             crossed,
             fired,
             job_any,
@@ -423,47 +440,20 @@ impl NetworkParams {
             kernel: _,
             intra: _,
         } = state;
+        let active = &mut active[..b_count];
+        // The one telemetry check per call: phase timing is on in spans
+        // mode only.
+        let mut phases = BatchPhases::default();
+        let mut clock =
+            (sparkxd_telemetry::mode() == sparkxd_telemetry::Mode::Spans).then(|| PhaseClock {
+                times: &mut phases,
+                since: Instant::now(),
+            });
         for _ in 0..self.config.timesteps {
-            for (b, rng) in rngs.iter_mut().enumerate() {
-                self.config
-                    .encoder
-                    .encode_planned_step(&plans[b], rng, &mut active[b]);
-                cursor[b] = 0;
-                heads[b] = active[b].first().copied().unwrap_or(usize::MAX);
-            }
-            // Record the k-way merge once per timestep: a min-scan over
-            // the samples' cached head rows visits each distinct active
-            // row in ascending order; live rows are pushed with the batch
-            // members that spiked on them (dead rows are consumed from
-            // every member's list but not recorded).
-            merged_rows.clear();
-            member_starts.clear();
-            members_flat.clear();
-            loop {
-                let mut next = usize::MAX;
-                for &head in &heads[..b_count] {
-                    next = next.min(head);
-                }
-                if next == usize::MAX {
-                    break;
-                }
-                let live = self.plane.row_live(next);
-                if live {
-                    merged_rows.push(next);
-                    member_starts.push(members_flat.len());
-                }
-                for b in 0..b_count {
-                    if heads[b] == next {
-                        let pos = cursor[b] + 1;
-                        cursor[b] = pos;
-                        heads[b] = active[b].get(pos).copied().unwrap_or(usize::MAX);
-                        if live {
-                            members_flat.push(b);
-                        }
-                    }
-                }
-            }
-            member_starts.push(members_flat.len());
+            self.config
+                .encoder
+                .encode_planned_chunk(kernel, &plans[..b_count], rngs, active);
+            lap(&mut clock, |p| &mut p.encode);
             let slabs = SweepSlabs {
                 v: v.as_mut_ptr(),
                 theta: theta.as_mut_ptr(),
@@ -472,11 +462,7 @@ impl NetworkParams {
                 crossed: crossed.as_mut_ptr(),
                 any: job_any.as_mut_ptr(),
             };
-            let merge = MergedRows {
-                rows: merged_rows,
-                starts: member_starts,
-                members: members_flat,
-            };
+            let rows: &[Vec<usize>] = active;
             let sweep = |part: usize| {
                 // SAFETY: `tile_jobs` ranges are disjoint and tile-aligned
                 // and every job has its own `part`, so concurrent jobs
@@ -488,11 +474,10 @@ impl NetworkParams {
                         self,
                         kernel,
                         slabs,
-                        b_count,
                         tile,
                         tile_jobs[part].clone(),
                         part,
-                        &merge,
+                        rows,
                     );
                 }
             };
@@ -502,6 +487,7 @@ impl NetworkParams {
             } else {
                 crate::engine::WorkerPool::global().run(jobs, jobs.saturating_sub(1), &sweep);
             }
+            lap(&mut clock, |p| &mut p.sweep);
             for (b, sample_counts) in counts.iter_mut().enumerate() {
                 if !(0..jobs).any(|part| job_any[part * b_count + b]) {
                     // No lane reached threshold: nothing fires and
@@ -520,6 +506,10 @@ impl NetworkParams {
                 );
                 inhibit_slab(&self.config, kernel, &mut v[slab], fired);
             }
+            lap(&mut clock, |p| &mut p.fire);
+        }
+        if clock.is_some() {
+            phases.record();
         }
         Ok(counts)
     }
@@ -534,7 +524,7 @@ struct SweepSlabs {
     theta: *mut f32,
     refractory: *mut f32,
     crossed: *mut bool,
-    /// `jobs × [B × tile]` drive scratch, one block per job.
+    /// `jobs × [tile]` drive scratch, one block per job.
     drive: *mut f32,
     /// `jobs × B` crossing flags, one slot per (job, sample).
     any: *mut bool,
@@ -546,23 +536,14 @@ struct SweepSlabs {
 unsafe impl Send for SweepSlabs {}
 unsafe impl Sync for SweepSlabs {}
 
-/// One timestep's recorded k-way merge: each distinct live active row in
-/// ascending order, with the batch members that spiked on it
-/// (`members[starts[i]..starts[i + 1]]` for `rows[i]`).
-struct MergedRows<'a> {
-    rows: &'a [usize],
-    starts: &'a [usize],
-    members: &'a [usize],
-}
-
-/// One range-job of the tile sweep: for each tile in `tiles`, zero the
-/// job's `[B × tile]` drive scratch, stream every merged row's tile slice
-/// into it (the fused multi-member pass loads the slice once and adds it
-/// to every member that spiked on the row), then integrate the tile's
-/// membrane lanes while the drive is hot. Records whether any lane of
-/// sample `b` crossed threshold in `any[part * b_count + b]`.
+/// One range-job of the tile sweep: for each tile in `tiles` and each
+/// sample `b`, sum the tile slices of `rows[b]` (the sample's live active
+/// rows, ascending) into the job's `[tile]` drive block, then integrate
+/// the sample's membrane lanes of the tile while the drive is hot.
+/// Records whether any lane of sample `b` crossed threshold in
+/// `any[part * B + b]`, where `B = rows.len()`.
 ///
-/// Tile boundaries are global multiples of `tile`, rows are visited in
+/// Tile boundaries are global multiples of `tile`, rows are summed in
 /// ascending order per lane and each lane's arithmetic is independent of
 /// its neighbours, so the result is bit-identical for any split of the
 /// tiles into jobs.
@@ -571,54 +552,46 @@ struct MergedRows<'a> {
 ///
 /// `tiles` must lie in `0..n_neurons.div_ceil(tile)`, and concurrent
 /// calls must receive distinct `part`s and disjoint `tiles` ranges. The
-/// membrane slabs must hold `b_count × n_neurons` elements,
-/// the drive scratch `(part + 1) × b_count × tile`, the flags
-/// `(part + 1) × b_count`, and all of them must stay valid for the call.
-#[allow(clippy::too_many_arguments)]
+/// membrane slabs must hold `B × n_neurons` elements, the drive scratch
+/// `(part + 1) × tile`, the flags `(part + 1) × B`, and all of them must
+/// stay valid for the call.
 unsafe fn sweep_tiles(
     params: &NetworkParams,
     kernel: Kernel,
     slabs: SweepSlabs,
-    b_count: usize,
     tile: usize,
     tiles: Range<usize>,
     part: usize,
-    merge: &MergedRows<'_>,
+    rows: &[Vec<usize>],
 ) {
     let n = params.config.n_neurons;
+    let b_count = rows.len();
     // SAFETY: the drive block and flag slots indexed by `part` belong to
     // this job alone and lie inside the sizes `# Safety` requires.
     let (drive, any) = unsafe {
         (
-            slice::from_raw_parts_mut(slabs.drive.add(part * b_count * tile), b_count * tile),
+            slice::from_raw_parts_mut(slabs.drive.add(part * tile), tile),
             slice::from_raw_parts_mut(slabs.any.add(part * b_count), b_count),
         )
     };
     any.fill(false);
+    let plane = params.plane.values();
     for t in tiles {
         let t0 = t * tile;
-        let t1 = (t0 + tile).min(n);
-        let len = t1 - t0;
-        drive.fill(0.0);
-        for (ri, &row) in merge.rows.iter().enumerate() {
-            if let Some(&next) = merge.rows.get(ri + 1) {
-                crate::kernels::prefetch_lanes(&params.plane.row(next)[t0..t1]);
-            }
-            let row_tile = &params.plane.row(row)[t0..t1];
-            let members = &merge.members[merge.starts[ri]..merge.starts[ri + 1]];
-            kernel.accumulate_members(drive, tile, 0, members, row_tile);
-        }
-        for (b, any) in any.iter_mut().enumerate() {
+        let len = (t0 + tile).min(n) - t0;
+        let drive = &mut drive[..len];
+        for (b, (any, rows)) in any.iter_mut().zip(rows).enumerate() {
+            kernel.sum_rows(drive, plane, n, t0, rows);
             let base = b * n + t0;
             // SAFETY: lanes `[base, base + len)` are tile `t` of sample
-            // `b`'s slab: inside the `b_count × n_neurons` slabs, and in
-            // this job's own disjoint tile range.
+            // `b`'s slab: inside the `B × n_neurons` slabs, and in this
+            // job's own disjoint tile range.
             let lanes = unsafe {
                 LifLanes {
                     v: slice::from_raw_parts_mut(slabs.v.add(base), len),
                     theta: slice::from_raw_parts_mut(slabs.theta.add(base), len),
                     refractory: slice::from_raw_parts_mut(slabs.refractory.add(base), len),
-                    drive: &drive[b * tile..b * tile + len],
+                    drive,
                     crossed: slice::from_raw_parts_mut(slabs.crossed.add(base), len),
                 }
             };
@@ -754,17 +727,35 @@ impl PhaseTimes {
     }
 }
 
-/// A running phase timer over one sample: the accumulators and when the
-/// current phase began.
-struct PhaseClock<'a> {
-    times: &'a mut PhaseTimes,
+/// Wall time per `run_batch` phase, summed over one call's timesteps and
+/// recorded as counters once per call (spans mode only).
+#[derive(Debug, Default)]
+struct BatchPhases {
+    encode: Duration,
+    sweep: Duration,
+    fire: Duration,
+}
+
+impl BatchPhases {
+    fn record(&self) {
+        use sparkxd_telemetry::counter_add;
+        counter_add!("engine.phase_encode_ns", self.encode.as_nanos());
+        counter_add!("engine.phase_sweep_ns", self.sweep.as_nanos());
+        counter_add!("engine.phase_fire_ns", self.fire.as_nanos());
+    }
+}
+
+/// A running phase timer over one sample or chunk: the accumulators and
+/// when the current phase began.
+struct PhaseClock<'a, T> {
+    times: &'a mut T,
     since: Instant,
 }
 
 /// Charges the time since the last lap to one phase and starts the next;
 /// a no-op when phase timing is off (`clock` is `None`).
 #[inline]
-fn lap(clock: &mut Option<PhaseClock<'_>>, phase: impl FnOnce(&mut PhaseTimes) -> &mut Duration) {
+fn lap<T>(clock: &mut Option<PhaseClock<'_, T>>, phase: impl FnOnce(&mut T) -> &mut Duration) {
     if let Some(clock) = clock {
         let now = Instant::now();
         *phase(clock.times) += now - clock.since;
@@ -902,10 +893,12 @@ impl RunState {
     }
 }
 
-/// Per-worker scratch of the batched inference path: SoA membrane and
-/// drive matrices over `[B × n_neurons]`, plus per-sample spike lists.
-/// Reused across batches; `run_batch` resizes it to the presented batch,
-/// so the final (short) chunk of a dataset needs no separate state.
+/// Per-worker scratch of the batched inference path: SoA membrane slabs
+/// over `[B × n_neurons]`, one `[tile]` drive block per sweep job, and
+/// per-sample spike plans and active lists. Reused across batches;
+/// `run_batch` resizes it to the presented batch, so the final (short)
+/// chunk of a dataset needs no separate state, and once sized it
+/// allocates nothing per timestep.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchState {
     /// Membrane potentials, sample-major (`[b * n_neurons + j]`).
@@ -914,25 +907,14 @@ pub struct BatchState {
     theta: Vec<f32>,
     /// Remaining refractory times, sample-major.
     refractory: Vec<f32>,
-    /// Drive scratch of the tile sweep: one `[B × tile]` block per
-    /// range-job, sample-major within a block.
+    /// Drive scratch of the tile sweep: one `[tile]` block per range-job.
     drive: Vec<f32>,
-    /// Per-sample active input lines this timestep (sorted ascending).
+    /// Per-sample live active input lines this timestep (sorted
+    /// ascending).
     active: Vec<Vec<usize>>,
-    /// Per-sample precomputed spike plans (non-zero pixels + thresholds).
+    /// Per-sample precomputed spike plans (non-zero pixels + thresholds,
+    /// zero for dead rows).
     plans: Vec<Vec<(u32, u32)>>,
-    /// Per-sample cursor into `active` for the row-merge sweep.
-    cursor: Vec<usize>,
-    /// Per-sample head row of `active` (`usize::MAX` when exhausted),
-    /// cached flat so the merge's min-scan stays in one cache line.
-    heads: Vec<usize>,
-    /// The timestep's recorded merge: each distinct live active row, in
-    /// ascending order, visited once per neuron tile.
-    merged_rows: Vec<usize>,
-    /// Offsets into `members_flat` per merged row (one trailing sentinel).
-    member_starts: Vec<usize>,
-    /// Flattened batch-member lists of the merged rows.
-    members_flat: Vec<usize>,
     /// Threshold-crossing masks, sample-major (`[b * n_neurons + j]`) —
     /// tiles integrate lane-by-lane, firing resolves per sample after the
     /// sweep.
@@ -1012,16 +994,9 @@ impl BatchState {
         self.crossed.resize(batch * n, false);
         self.active.resize(batch, Vec::new());
         self.plans.resize(batch, Vec::new());
-        self.cursor.resize(batch, 0);
-        self.heads.resize(batch, usize::MAX);
         for active in &mut self.active {
             active.clear();
         }
-        self.cursor.fill(0);
-        self.heads.fill(usize::MAX);
-        self.merged_rows.clear();
-        self.member_starts.clear();
-        self.members_flat.clear();
         self.fired.clear();
     }
 }

@@ -441,6 +441,13 @@ impl EffectivePlane {
         &self.values[input * self.neurons..(input + 1) * self.neurons]
     }
 
+    /// Every effective value, row-major (`row(i)` is
+    /// `values()[i * neurons..][..neurons]`).
+    #[inline]
+    pub(crate) fn values(&self) -> &[f32] {
+        &self.values
+    }
+
     /// `true` when this plane equals a fresh build from `stored` — the
     /// invariant every mutation path must restore. Used by debug
     /// assertions and consistency tests; O(len), not for hot paths.

@@ -79,8 +79,8 @@ pub const N: usize = 23;
 /// precision, then planted with defects (after the round-trip, so
 /// quantisation cannot scrub them):
 ///
-/// * two adjacent dead rows, which the row merge must skip while keeping
-///   every member's cursor in step;
+/// * two adjacent dead rows, which the batched engine must skip while
+///   keeping every sample's RNG stream in step;
 /// * NaN and +Inf on an interior lane and on the last lane;
 /// * a negative word, a word above `w_max`, and a denormal on an 8-lane
 ///   boundary, for the read rule;

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sparkxd::snn::kernels::LifLanes;
 use sparkxd::snn::IntraChoice::{Off, Workers};
 use sparkxd::snn::KernelChoice::{Avx2, Scalar};
-use sparkxd::snn::{Kernel, LifConfig, StdpConfig};
+use sparkxd::snn::{Kernel, LifConfig, PoissonEncoder, StdpConfig};
 
 /// Each kernel at one-lane, ragged, exact-fit and single tiles, on
 /// batches of 2, 5 and 13. `Avx2` falls back to the portable kernel on a
@@ -268,6 +268,93 @@ fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
         for phase in 0..NASTY.len() {
             check_kernels_agree(len, phase);
             check_clean_kernels_match_generic(len, phase);
+        }
+    }
+}
+
+/// The finite words of [`NASTY`]: signed zeros, denormals, ±3.4e38 (so
+/// a row sum can overflow to ±Inf) and ordinary values — what an
+/// effective plane may hold.
+fn finite_vec(len: usize, phase: usize) -> Vec<f32> {
+    let finite: Vec<f32> = NASTY.into_iter().filter(|w| w.is_finite()).collect();
+    (0..len)
+        .map(|i| finite[(i + phase) % finite.len()])
+        .collect()
+}
+
+#[test]
+fn issue_sum_rows_matches_an_ascending_scalar_loop() {
+    // A 40-row matrix with a ragged stride, summed at an offset so row
+    // slices start mid-row; rows ascend with gaps.
+    let (n_rows, offset) = (40, 3);
+    for len in 0..=23 {
+        let stride = len + offset + 2;
+        for phase in 0..NASTY.len() {
+            let matrix = finite_vec(n_rows * stride, phase);
+            for count in [0usize, 1, 2, 17] {
+                let rows: Vec<usize> = (0..count).map(|i| 2 * i + phase % 3).collect();
+                let mut want = vec![0.0f32; len];
+                for &r in &rows {
+                    for (j, w) in want.iter_mut().enumerate() {
+                        *w += matrix[r * stride + offset + j];
+                    }
+                }
+                for &kernel in Kernel::available() {
+                    let mut got = vec![f32::NAN; len];
+                    kernel.sum_rows(&mut got, &matrix, stride, offset, &rows);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "sum_rows {kernel:?} len={len} phase={phase} rows={count}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn issue_lockstep_encoder_matches_serial_streams() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    // Unequal plan lengths, so the lockstep prefix ends at the shortest
+    // plan and the rest runs serially; thresholds at the accept edges
+    // (0 never fires, 2²⁴ always does).
+    const LENGTHS: [usize; 5] = [0, 1, 7, 483, 784];
+    const THRESHOLDS: [u32; 5] = [1, 2, (1 << 24) - 1, 1 << 24, 0];
+    let encoder = PoissonEncoder::standard();
+    for streams in 1..=6 {
+        for shift in 0..LENGTHS.len() {
+            let plans: Vec<Vec<(u32, u32)>> = (0..streams)
+                .map(|b| {
+                    let len = LENGTHS[(b + shift) % LENGTHS.len()];
+                    (0..len)
+                        .map(|i| (i as u32, THRESHOLDS[(i + b) % THRESHOLDS.len()]))
+                        .collect()
+                })
+                .collect();
+            let seeded = || -> Vec<StdRng> {
+                (0..streams)
+                    .map(|b| StdRng::seed_from_u64_stream(7, (shift * 8 + b) as u64))
+                    .collect()
+            };
+            let mut want_rngs = seeded();
+            let mut want = vec![Vec::new(); streams];
+            for &kernel in Kernel::available() {
+                let mut rngs = seeded();
+                let mut got = vec![vec![99usize; 3]; streams];
+                for step in 0..3 {
+                    for b in 0..streams {
+                        encoder.encode_planned_step(&plans[b], &mut want_rngs[b], &mut want[b]);
+                    }
+                    encoder.encode_planned_chunk(kernel, &plans, &mut rngs, &mut got);
+                    let what = format!("{kernel:?} streams={streams} shift={shift} step={step}");
+                    assert_eq!(got, want, "{what}: spike trains");
+                    let states = |r: &[StdRng]| r.iter().map(StdRng::state).collect::<Vec<_>>();
+                    assert_eq!(states(&rngs), states(&want_rngs), "{what}: states");
+                }
+                want_rngs = seeded();
+            }
         }
     }
 }

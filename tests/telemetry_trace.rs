@@ -5,7 +5,8 @@
 //! that overlaps the next step's training), one `WorkerPool` dispatch span
 //! and one DRAM replay span beneath them — and a snapshot holding
 //! training's per-epoch counters (clean-store samples, inline encodes and
-//! the spans-only per-phase wall times).
+//! the spans-only per-phase wall times) and the inference engine's
+//! spans-only per-phase wall times.
 //!
 //! Single `#[test]` on purpose: the telemetry mode is process-global,
 //! like the engine knobs the sibling invariance suites pin.
@@ -102,4 +103,16 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
     let clean = counter("snn.train_clean_samples");
     assert!(clean > 0 && clean <= samples, "{clean} of {samples}");
     assert!(counter("snn.train_phase_depress_ns") > 0);
+
+    // The engine's per-call phase split of `run_batch` (labelling and
+    // evaluation run through it).
+    for name in [
+        "engine.phase_encode_ns",
+        "engine.phase_sweep_ns",
+        "engine.phase_fire_ns",
+    ] {
+        counter(name);
+    }
+    assert!(counter("engine.phase_encode_ns") > 0);
+    assert!(counter("engine.phase_sweep_ns") > 0);
 }
