@@ -2,8 +2,9 @@
 //!
 //! Every node carries a capacitance to ground, so the circuit is the ODE
 //! system `C_k dV_k/dt = Σ I_k(V)`. The solver integrates it with classic
-//! RK4 at a fixed timestep while a [`PhaseSchedule`] toggles element enable
-//! lines (wordline, sense-amp enable, equaliser) at programmed times.
+//! RK4 at a fixed timestep while a phase list (the `phases` argument of
+//! [`Circuit::simulate`]) toggles element enable lines (wordline,
+//! sense-amp enable, equaliser) at programmed times.
 
 use crate::elements::{Element, NodeId};
 use crate::waveform::Waveform;

@@ -191,18 +191,18 @@ impl SparkXdPipeline {
     /// The flow is a fixed sequence of named stages, each feeding the
     /// parallel execution engine where its work is sample-parallel:
     ///
-    /// 1. [`stage_data`](Self::stage_data) — dataset generation;
-    /// 2. [`stage_baseline_model`](Self::stage_baseline_model) — error-free
+    /// 1. `stage_data` — dataset generation;
+    /// 2. `stage_baseline_model` — error-free
     ///    training of `model0` (sequential STDP);
-    /// 3. [`stage_fault_aware_training`](Self::stage_fault_aware_training)
+    /// 3. `stage_fault_aware_training`
     ///    — Algorithm 1 (evaluations sample-parallel);
-    /// 4. [`stage_operating_point`](Self::stage_operating_point) — device
+    /// 4. `stage_operating_point` — device
     ///    error profile at the (possibly raised) operating voltage;
-    /// 5. [`stage_mapping`](Self::stage_mapping) — baseline vs SparkXD
+    /// 5. `stage_mapping` — baseline vs SparkXD
     ///    DRAM mappings;
-    /// 6. [`stage_operating_accuracy`](Self::stage_operating_accuracy) —
+    /// 6. `stage_operating_accuracy` —
     ///    mapped-error injection + parallel evaluation;
-    /// 7. [`stage_energy`](Self::stage_energy) — energy/throughput
+    /// 7. `stage_energy` — energy/throughput
     ///    comparison.
     ///
     /// # Errors

@@ -194,7 +194,10 @@ fn draw_planned<T: Copy + Default>(
 }
 
 /// The AVX2 lockstep draw of
-/// [`PoissonEncoder::encode_planned_chunk`].
+/// [`PoissonEncoder::encode_planned_chunk`], and the crate's one
+/// hand-written SIMD: unlike the `kernels` entry points, whose AVX2 arm
+/// is their portable body recompiled, a portable four-lane xoshiro256++
+/// recompiled for AVX2 ran slower than four serial streams.
 #[cfg(target_arch = "x86_64")]
 mod lockstep {
     use super::draw_planned;

@@ -73,38 +73,35 @@
 //!
 //! # Bit-identity argument
 //!
-//! The AVX2 kernels are **bit-identical to the scalar reference by
-//! construction**, not by accident of optimisation:
+//! Every kernel entry point has **one body**: an `#[inline(always)]`
+//! portable loop, which the AVX2 arm recompiles under
+//! `#[target_feature(enable = "avx2")]` through a one-call wrapper. The
+//! two kernels differ only in the instructions the compiler may pick, and
+//! that makes them bit-identical by construction: rustc never contracts a
+//! multiply and an add into an FMA (which would skip an intermediate
+//! rounding) and never reassociates float arithmetic (which would reorder
+//! a sum), so the vectorised code performs each lane's scalar IEEE-754
+//! operation sequence in order, and a select `if c { a } else { b }`
+//! becomes a compare and a blend with the same truth table. The row sums
+//! keep one accumulator per lane, started at `+0.0`, and add the rows in
+//! the order given.
 //!
-//! * every lane computes the exact scalar IEEE-754 operation sequence —
-//!   lanewise `add/sub/mul/div` in the same order as the scalar
-//!   expression, **no FMA** (which would skip an intermediate rounding)
-//!   and **no horizontal reductions** (which would reassociate sums);
-//! * conditional behaviour uses ordered quiet compares plus blends with
-//!   the same truth table as the scalar branches (`_CMP_GE_OQ` ↔ `>=`,
-//!   `_CMP_GT_OQ` ↔ `>`, both false on NaN exactly like Rust);
-//! * the finite filter *skips* non-finite weights with a blend (keeping
-//!   the accumulator's bits) instead of adding a masked zero, matching
-//!   the scalar `if w.is_finite()` exactly even for `-0.0` accumulators;
-//! * the row sums keep one accumulator per lane, started at `+0.0`, and
-//!   add the rows in the order given — per lane the same sequence as
-//!   zeroing the drive and accumulating row by row;
-//! * remainder lanes (`n % 8 != 0`) run the portable kernel itself;
-//! * the training entry points have no hand-written intrinsics: their
-//!   AVX2 arm is the portable body recompiled under
-//!   `#[target_feature(enable = "avx2")]`. That is exact too, because
-//!   rustc never contracts a multiply and an add into an FMA and never
-//!   reassociates float arithmetic, so the vectorised code performs each
-//!   lane's scalar operation sequence.
+//! The inhibition sweep computes the model's `x.max(floor)`, with
+//! `x = v - strength` ([`LifState::inhibit`](crate::neuron::LifState::inhibit)),
+//! as the select `if x > floor { x } else { floor }`, which compiles to
+//! one `max`. That is the one documented precondition: the two agree for
+//! every `x`, NaN included, provided `floor` is a non-NaN value that is
+//! not a signed zero — always true for the model's floor of
+//! [`LifConfig::inhibition_floor`] (strictly below `v_reset`).
+//! `tests/kernel_invariance.rs` checks the sweep, the two accumulates and
+//! the row sums against independent per-lane references, across
+//! NaN/Inf/negative/denormal inputs and every tail alignment.
 //!
-//! The one documented precondition is the inhibition sweep's
-//! [`f32::max`] against the floor: `_mm256_max_ps(x, floor)` matches
-//! `x.max(floor)` for every `x` (including NaN) provided `floor` itself
-//! is a non-NaN value that is not a signed zero — always true for the
-//! model's floor of [`LifConfig::inhibition_floor`] (strictly below
-//! `v_reset`). `tests/kernel_invariance.rs` proves the equivalence
-//! empirically across NaN/Inf/negative/denormal inputs and every tail
-//! alignment.
+//! The lockstep Poisson encoder is the one hand-written SIMD left. Its
+//! lanes are 64-bit xoshiro256++ states; the same lockstep written
+//! portably over `[u64; 4]` and recompiled for AVX2 ran a four-stream step
+//! in 3.3 µs, slower than four serial streams (1.9 µs), against 1.4 µs for
+//! the intrinsics.
 
 use crate::neuron::LifConfig;
 use crate::stdp::StdpConfig;
@@ -205,10 +202,12 @@ pub fn avx2_supported() -> bool {
 /// `#[target_feature]` code and otherwise runs the portable kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// Portable unrolled-scalar lanes (the reference implementation).
+    /// The portable body compiled for the baseline ISA (the reference
+    /// implementation).
     #[default]
     Scalar,
-    /// Hand-written x86_64 AVX2 lanes, bit-identical to `Scalar`.
+    /// The portable kernel recompiled for x86_64 AVX2, bit-identical to
+    /// `Scalar`.
     Avx2,
 }
 
@@ -269,35 +268,8 @@ impl Kernel {
             unsafe { avx2::sum_rows(drive, matrix, stride, offset, rows) };
             return;
         }
-        scalar::sum_rows(drive, matrix, stride, offset, rows);
-    }
-
-    /// A fused multi-member row pass: adds `row_tile` (one row's tile
-    /// slice) into the drive slice of every batch member in `members`,
-    /// i.e. `drive[b * stride + offset ..][.. row_tile.len()] += row_tile`
-    /// for each `b`. The row tile is loaded once and applied to all
-    /// members while hot, instead of being re-streamed per member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member's drive slice falls outside `drive`.
-    pub fn accumulate_members(
-        self,
-        drive: &mut [f32],
-        stride: usize,
-        offset: usize,
-        members: &[usize],
-        row_tile: &[f32],
-    ) {
-        check_member_bounds(drive.len(), stride, offset, members, row_tile.len());
-        #[cfg(target_arch = "x86_64")]
-        if self.run_avx2() {
-            // SAFETY: AVX2 presence verified at runtime just above;
-            // member bounds checked against `drive` just above.
-            unsafe { avx2::accumulate_members(drive, stride, offset, members, row_tile) };
-            return;
-        }
-        scalar::accumulate_members(drive, stride, offset, members, row_tile);
+        // SAFETY: row bounds checked against `matrix` just above.
+        unsafe { scalar::sum_rows(drive, matrix, stride, offset, rows) };
     }
 
     /// The scalar reference path's `clamp_reads` accumulate:
@@ -550,15 +522,19 @@ impl Kernel {
                 avx2::integrate_lanes(lif, dt_ms, v, theta, refractory, drive, crossed)
             };
         }
-        scalar::integrate_lanes(lif, dt_ms, v, theta, refractory, drive, crossed)
+        scalar::integrate_lanes_out_of_line(lif, dt_ms, v, theta, refractory, drive, crossed)
     }
 
     /// The lateral-inhibition sweep over one contiguous run of non-firing
-    /// lanes: `v[j] = (v[j] - strength).max(floor)` per lane. Callers walk
-    /// the (sorted) fired list and hand over the gaps between winners, so
-    /// no per-lane mask is needed.
+    /// lanes: `v[j] = (v[j] - strength).max(floor)` per lane, for a finite
+    /// `floor` that is not a signed zero (see the module docs). Callers
+    /// walk the (sorted) fired list and hand over the gaps between
+    /// winners, so no per-lane mask is needed.
     pub fn inhibit_lanes(self, v: &mut [f32], strength: f32, floor: f32) {
-        debug_assert!(floor.is_finite(), "inhibition floor must be finite");
+        debug_assert!(
+            floor.is_finite() && floor != 0.0,
+            "inhibition floor must be finite and not a signed zero"
+        );
         #[cfg(target_arch = "x86_64")]
         if self.run_avx2() {
             // SAFETY: AVX2 presence verified at runtime just above.
@@ -585,29 +561,21 @@ pub struct LifLanes<'a> {
     pub crossed: &'a mut [bool],
 }
 
-/// Hints the hardware to pull `data` towards L1 ahead of use. The
-/// potentiation column walk issues it on the word a few inputs ahead,
+/// Hints the hardware to pull the cache line holding `word` towards L1.
+/// The potentiation column walk issues it on the word a few inputs ahead,
 /// since consecutive words of a column lie `neurons` apart. Purely a
 /// scheduling hint: results are unaffected on every target, and the
 /// function is a no-op off x86_64.
 #[inline]
-pub fn prefetch_lanes(data: &[f32]) {
+fn prefetch(word: &f32) {
     #[cfg(target_arch = "x86_64")]
-    {
+    // SAFETY: prefetch has no architectural effect beyond the cache.
+    unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // One hint per 64-byte line (16 f32 lanes).
-        let mut i = 0;
-        while i < data.len() {
-            // Safety: `data.as_ptr().add(i)` stays inside the slice;
-            // prefetch has no architectural effect beyond the cache.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(data.as_ptr().add(i).cast()) };
-            i += 16;
-        }
+        _mm_prefetch::<_MM_HINT_T0>((word as *const f32).cast());
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = data;
-    }
+    let _ = word;
 }
 
 /// Validates that every row's slice `[r * stride + offset, .. + len)`
@@ -626,64 +594,24 @@ fn check_row_bounds(matrix_len: usize, stride: usize, offset: usize, rows: &[usi
     }
 }
 
-/// Validates that every member's drive slice
-/// `[b * stride + offset, b * stride + offset + len)` lies inside a drive
-/// buffer of `drive_len` lanes (overflow-checked), so the kernels can use
-/// unchecked lane addressing afterwards.
-fn check_member_bounds(
-    drive_len: usize,
-    stride: usize,
-    offset: usize,
-    members: &[usize],
-    len: usize,
-) {
-    for &b in members {
-        let start = b
-            .checked_mul(stride)
-            .and_then(|s| s.checked_add(offset))
-            .expect("member drive offset overflows");
-        assert!(
-            start.checked_add(len).is_some_and(|end| end <= drive_len),
-            "member {b} drive slice [{start}, {start}+{len}) out of bounds (drive has {drive_len})"
-        );
-    }
-}
-
-/// The portable kernel: straight-line lanewise loops, explicitly
-/// structured in 8-lane groups (plus a short tail) so the compiler can
-/// keep them branch-free and vectorise at the baseline ISA. These loops
-/// *are* the reference semantics; the AVX2 module reproduces them lane
-/// for lane.
+/// The portable kernel, and the one body of every entry point: plain
+/// lanewise loops the compiler vectorises at the baseline ISA. Every
+/// function is `#[inline(always)]`, so the AVX2 module recompiles the very
+/// same body under `target_feature`. These loops *are* the reference
+/// semantics.
 mod scalar {
     use super::{LifConfig, StdpConfig, StoredWeights, PREFETCH_ROWS};
     use std::slice;
 
-    pub(super) fn accumulate_members(
-        drive: &mut [f32],
-        stride: usize,
-        offset: usize,
-        members: &[usize],
-        row_tile: &[f32],
-    ) {
-        for &b in members {
-            let start = b * stride + offset;
-            let dst = &mut drive[start..start + row_tile.len()];
-            for (d, w) in dst.chunks_exact_mut(8).zip(row_tile.chunks_exact(8)) {
-                for (dk, &wk) in d.iter_mut().zip(w) {
-                    *dk += wk;
-                }
-            }
-            let tail = row_tile.len() - row_tile.len() % 8;
-            for (d, &w) in dst[tail..].iter_mut().zip(&row_tile[tail..]) {
-                *d += w;
-            }
-        }
-    }
-
     /// Lanes per register block of the row sums.
     const SUM_BLOCK: usize = 32;
 
-    pub(super) fn sum_rows(
+    /// # Safety
+    ///
+    /// Every row slice `[r * stride + offset, .. + drive.len())` must lie
+    /// inside `matrix` (the dispatcher checks it).
+    #[inline(always)]
+    pub(super) unsafe fn sum_rows(
         drive: &mut [f32],
         matrix: &[f32],
         stride: usize,
@@ -711,8 +639,13 @@ mod scalar {
     /// `W` lanes of [`sum_rows`], starting at column `base` of each row:
     /// the accumulators are a fixed-size array the compiler keeps in
     /// registers.
+    ///
+    /// # Safety
+    ///
+    /// `[r * stride + base, .. + W)` must lie inside `matrix` for every
+    /// row `r`.
     #[inline(always)]
-    fn sum_block<const W: usize>(
+    unsafe fn sum_block<const W: usize>(
         drive: &mut [f32],
         matrix: &[f32],
         stride: usize,
@@ -721,10 +654,8 @@ mod scalar {
     ) {
         let mut acc = [0.0f32; W];
         for &r in rows {
-            let start = r * stride + base;
-            let row: &[f32; W] = matrix[start..start + W]
-                .try_into()
-                .expect("slice of W lanes");
+            // SAFETY: the caller guarantees the `W` lanes lie in `matrix`.
+            let row = unsafe { &*matrix.as_ptr().add(r * stride + base).cast::<[f32; W]>() };
             for (a, &w) in acc.iter_mut().zip(row) {
                 *a += w;
             }
@@ -732,41 +663,26 @@ mod scalar {
         drive.copy_from_slice(&acc);
     }
 
+    #[inline(always)]
     pub(super) fn accumulate_effective(drive: &mut [f32], row: &[f32], w_max: f32) {
-        for (d, w) in drive.chunks_exact_mut(8).zip(row.chunks_exact(8)) {
-            for (dk, &wk) in d.iter_mut().zip(w) {
-                *dk += StoredWeights::effective(wk, w_max);
-            }
-        }
-        let n = drive.len().min(row.len());
-        let tail = n - n % 8;
-        for (d, &w) in drive[tail..].iter_mut().zip(&row[tail..]) {
+        for (d, &w) in drive.iter_mut().zip(row) {
             *d += StoredWeights::effective(w, w_max);
         }
     }
 
+    /// Written as a select so it vectorises: a non-finite weight keeps the
+    /// accumulator's exact bits rather than adding a zero.
+    #[inline(always)]
     pub(super) fn accumulate_finite(drive: &mut [f32], row: &[f32]) {
-        for (d, w) in drive.chunks_exact_mut(8).zip(row.chunks_exact(8)) {
-            for (dk, &wk) in d.iter_mut().zip(w) {
-                if wk.is_finite() {
-                    *dk += wk;
-                }
-            }
-        }
-        let n = drive.len().min(row.len());
-        let tail = n - n % 8;
-        for (d, &w) in drive[tail..].iter_mut().zip(&row[tail..]) {
-            if w.is_finite() {
-                *d += w;
-            }
+        for (d, &w) in drive.iter_mut().zip(row) {
+            *d = if w.is_finite() { *d + w } else { *d };
         }
     }
 
-    // The training passes below are `inline(always)` so the AVX2 module
-    // can recompile the very same body under `target_feature`. Each is
-    // generic over `CLEAN`: the generic pass (`false`) reads every word
-    // through `StoredWeights::effective`; the clean pass (`true`) reads it
-    // raw, which is the same value bit for bit when the word is clean.
+    // The training passes are generic over `CLEAN`: the generic pass
+    // (`false`) reads every word through `StoredWeights::effective`; the
+    // clean pass (`true`) reads it raw, which is the same value bit for
+    // bit when the word is clean.
 
     /// The read rule of a training pass: identity on a clean store.
     #[inline(always)]
@@ -822,8 +738,8 @@ mod scalar {
         let (lr, x_target) = (stdp.lr_potentiate, stdp.x_target);
         for (i, &pre) in trace_pre.iter().enumerate() {
             let ahead = (i + PREFETCH_ROWS) * neurons + column;
-            if let Some(next) = weights.get(ahead..=ahead) {
-                super::prefetch_lanes(next);
+            if let Some(next) = weights.get(ahead) {
+                super::prefetch(next);
             }
             let w = &mut weights[i * neurons + column];
             let e = read::<CLEAN>(*w, w_max);
@@ -831,6 +747,7 @@ mod scalar {
         }
     }
 
+    #[inline(always)]
     pub(super) fn integrate_lanes(
         lif: &LifConfig,
         dt_ms: f32,
@@ -869,52 +786,48 @@ mod scalar {
         any_crossed
     }
 
+    /// The portable arm's entry to [`integrate_lanes`], kept out of line:
+    /// inlined into a larger caller, the baseline-ISA loop can be left
+    /// unvectorised and runs slower.
+    #[inline(never)]
+    pub(super) fn integrate_lanes_out_of_line(
+        lif: &LifConfig,
+        dt_ms: f32,
+        v: &mut [f32],
+        theta: &mut [f32],
+        refractory: &mut [f32],
+        drive: &[f32],
+        crossed: &mut [bool],
+    ) -> bool {
+        integrate_lanes(lif, dt_ms, v, theta, refractory, drive, crossed)
+    }
+
+    /// `(v[j] - strength).max(floor)` per lane, written as the select
+    /// `if x > floor { x } else { floor }` so it compiles to one `max`.
+    /// The two agree for every `x`, NaN included, provided `floor` is not
+    /// NaN and not a signed zero (see the module docs).
+    #[inline(always)]
     pub(super) fn inhibit_lanes(v: &mut [f32], strength: f32, floor: f32) {
-        for lanes in v.chunks_exact_mut(8) {
-            for vj in lanes {
-                *vj = (*vj - strength).max(floor);
-            }
-        }
-        let tail = v.len() - v.len() % 8;
-        for vj in &mut v[tail..] {
-            *vj = (*vj - strength).max(floor);
+        for vj in v {
+            let x = *vj - strength;
+            *vj = if x > floor { x } else { floor };
         }
     }
 }
 
-/// The AVX2 kernel: 8-lane `std::arch` intrinsics computing the exact
-/// scalar IEEE sequence per lane (lanewise `add/sub/mul/div`, ordered
-/// quiet compares + blends, no FMA, no horizontal reductions), with the
-/// `n % 8` tail delegated to the portable kernel. See the module docs for
-/// the bit-identity argument.
+/// The AVX2 kernel: every entry point is a one-call wrapper that
+/// recompiles the portable body under `#[target_feature(enable = "avx2")]`.
+/// See the module docs for why that is bit-identical. The wrappers are
+/// safe `target_feature` functions, so a caller without AVX2 enabled must
+/// call them in `unsafe`, after checking the feature at runtime.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{scalar, LifConfig, StdpConfig};
-    use std::arch::x86_64::{
-        __m128i, __m256, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256, _mm256_andnot_ps,
-        _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128,
-        _mm256_cmp_ps, _mm256_div_ps, _mm256_extracti128_si256, _mm256_loadu_ps, _mm256_max_ps,
-        _mm256_movemask_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps, _mm256_sub_ps, _mm_packs_epi16, _mm_packs_epi32, _mm_storel_epi64,
-        _CMP_GE_OQ, _CMP_GT_OQ, _CMP_LT_OQ,
-    };
-
-    /// All-ones where the lane holds a finite value: `|w| < +inf` as an
-    /// ordered quiet compare, which is false for NaN and ±inf — exactly
-    /// `f32::is_finite`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn finite_mask(w: __m256) -> __m256 {
-        let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-        let inf = _mm256_set1_ps(f32::INFINITY);
-        _mm256_cmp_ps::<_CMP_LT_OQ>(_mm256_and_ps(w, abs_mask), inf)
-    }
 
     /// # Safety
     ///
-    /// AVX2 must be available, and every row slice
-    /// `[r * stride + offset, .. + drive.len())` must lie inside `matrix`
-    /// (the dispatcher checks both).
+    /// Every row slice `[r * stride + offset, .. + drive.len())` must lie
+    /// inside `matrix` (the dispatcher checks it).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sum_rows(
         drive: &mut [f32],
@@ -923,139 +836,21 @@ mod avx2 {
         offset: usize,
         rows: &[usize],
     ) {
-        let len = drive.len();
-        let m = matrix.as_ptr();
-        let d = drive.as_mut_ptr();
-        let mut c = 0;
-        // Four accumulators (32 lanes) per pass over the rows; each lane
-        // adds its rows in the given order onto +0.0, as the scalar
-        // kernel does.
-        while c + 32 <= len {
-            let mut a = [_mm256_setzero_ps(); 4];
-            for &r in rows {
-                let p = m.add(r * stride + offset + c);
-                for (k, acc) in a.iter_mut().enumerate() {
-                    *acc = _mm256_add_ps(*acc, _mm256_loadu_ps(p.add(8 * k)));
-                }
-            }
-            for (k, acc) in a.into_iter().enumerate() {
-                _mm256_storeu_ps(d.add(c + 8 * k), acc);
-            }
-            c += 32;
-        }
-        while c + 8 <= len {
-            let mut acc = _mm256_setzero_ps();
-            for &r in rows {
-                acc = _mm256_add_ps(acc, _mm256_loadu_ps(m.add(r * stride + offset + c)));
-            }
-            _mm256_storeu_ps(d.add(c), acc);
-            c += 8;
-        }
-        scalar::sum_rows(&mut drive[c..], matrix, stride, offset + c, rows);
+        scalar::sum_rows(drive, matrix, stride, offset, rows);
     }
 
-    /// # Safety
-    ///
-    /// AVX2 must be available, and every member slice
-    /// `[b * stride + offset, .. + row_tile.len())` must lie inside
-    /// `drive` (the dispatcher checks both).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_members(
-        drive: &mut [f32],
-        stride: usize,
-        offset: usize,
-        members: &[usize],
-        row_tile: &[f32],
-    ) {
-        let len = row_tile.len();
-        let base = drive.as_mut_ptr();
-        let row = row_tile.as_ptr();
-        // Member-outer: the whole row tile stays L1-hot across every
-        // member's read-modify-write, and each member's pass is a
-        // straight-line unrolled stream with the base pointer hoisted.
-        // Per drive lane the adds happen in the same (single) per-row
-        // order as the scalar kernel, so bit-identity holds.
-        for &b in members {
-            let p = base.add(b * stride + offset);
-            let mut c = 0;
-            while c + 16 <= len {
-                let w0 = _mm256_loadu_ps(row.add(c));
-                let w1 = _mm256_loadu_ps(row.add(c + 8));
-                _mm256_storeu_ps(p.add(c), _mm256_add_ps(_mm256_loadu_ps(p.add(c)), w0));
-                let p1 = p.add(c + 8);
-                _mm256_storeu_ps(p1, _mm256_add_ps(_mm256_loadu_ps(p1), w1));
-                c += 16;
-            }
-            while c + 8 <= len {
-                let w = _mm256_loadu_ps(row.add(c));
-                _mm256_storeu_ps(p.add(c), _mm256_add_ps(_mm256_loadu_ps(p.add(c)), w));
-                c += 8;
-            }
-            while c < len {
-                *p.add(c) += *row.add(c);
-                c += 1;
-            }
-        }
+    pub(super) fn accumulate_effective(drive: &mut [f32], row: &[f32], w_max: f32) {
+        scalar::accumulate_effective(drive, row, w_max);
     }
 
-    /// # Safety
-    ///
-    /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_effective(drive: &mut [f32], row: &[f32], w_max: f32) {
-        let n = drive.len().min(row.len());
-        let d = drive.as_mut_ptr();
-        let r = row.as_ptr();
-        let zero = _mm256_setzero_ps();
-        let wmax = _mm256_set1_ps(w_max);
-        let mut c = 0;
-        while c + 8 <= n {
-            let w = _mm256_loadu_ps(r.add(c));
-            // `StoredWeights::effective` lane for lane: the clamp is the
-            // same two ordered branches (`< 0` wins over `> w_max`, both
-            // false on NaN), then non-finite lanes collapse to +0.0.
-            let below = _mm256_cmp_ps::<_CMP_LT_OQ>(w, zero);
-            let above = _mm256_cmp_ps::<_CMP_GT_OQ>(w, wmax);
-            let clamped = _mm256_blendv_ps(_mm256_blendv_ps(w, wmax, above), zero, below);
-            let e = _mm256_and_ps(clamped, finite_mask(w));
-            let p = d.add(c);
-            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), e));
-            c += 8;
-        }
-        scalar::accumulate_effective(&mut drive[c..], &row[c..], w_max);
+    pub(super) fn accumulate_finite(drive: &mut [f32], row: &[f32]) {
+        scalar::accumulate_finite(drive, row);
     }
 
-    /// # Safety
-    ///
-    /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_finite(drive: &mut [f32], row: &[f32]) {
-        let n = drive.len().min(row.len());
-        let d = drive.as_mut_ptr();
-        let r = row.as_ptr();
-        let mut c = 0;
-        while c + 8 <= n {
-            let w = _mm256_loadu_ps(r.add(c));
-            let p = d.add(c);
-            let acc = _mm256_loadu_ps(p);
-            // Skip semantics, not add-zero: non-finite lanes keep the
-            // accumulator's exact bits.
-            let sum = _mm256_add_ps(acc, w);
-            _mm256_storeu_ps(p, _mm256_blendv_ps(acc, sum, finite_mask(w)));
-            c += 8;
-        }
-        scalar::accumulate_finite(&mut drive[c..], &row[c..]);
-    }
-
-    /// The portable bodies recompiled with AVX2 enabled: lanewise IEEE ops
-    /// only (rustc never contracts to FMA or reassociates), so the wide
-    /// code computes the scalar sequence exactly.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn depress_accumulate<const CLEAN: bool>(
+    pub(super) fn depress_accumulate<const CLEAN: bool>(
         row: &mut [f32],
         trace_post: &[f32],
         lr: f32,
@@ -1065,33 +860,18 @@ mod avx2 {
         scalar::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive);
     }
 
-    /// See [`depress_accumulate`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate_clean(sums: &mut [f32], row: &[f32]) {
+    pub(super) fn accumulate_clean(sums: &mut [f32], row: &[f32]) {
         scalar::accumulate_clean(sums, row);
     }
 
-    /// See [`depress_accumulate`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rescale<const CLEAN: bool>(row: &mut [f32], scales: &[f32], w_max: f32) {
+    pub(super) fn rescale<const CLEAN: bool>(row: &mut [f32], scales: &[f32], w_max: f32) {
         scalar::rescale::<CLEAN>(row, scales, w_max);
     }
 
-    /// See [`depress_accumulate`].
-    ///
-    /// # Safety
-    ///
-    /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn potentiate_column<const CLEAN: bool>(
+    pub(super) fn potentiate_column<const CLEAN: bool>(
         weights: &mut [f32],
         neurons: usize,
         column: usize,
@@ -1102,13 +882,8 @@ mod avx2 {
         scalar::potentiate_column::<CLEAN>(weights, neurons, column, trace_pre, stdp, w_max);
     }
 
-    /// # Safety
-    ///
-    /// AVX2 must be available; all slabs must have equal length (the
-    /// dispatcher checks).
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn integrate_lanes(
+    pub(super) fn integrate_lanes(
         lif: &LifConfig,
         dt_ms: f32,
         v: &mut [f32],
@@ -1117,91 +892,12 @@ mod avx2 {
         drive: &[f32],
         crossed: &mut [bool],
     ) -> bool {
-        let n = v.len();
-        let dt = _mm256_set1_ps(dt_ms);
-        let tau_theta = _mm256_set1_ps(lif.tau_theta);
-        let tau_membrane = _mm256_set1_ps(lif.tau_membrane);
-        let v_rest = _mm256_set1_ps(lif.v_rest);
-        let v_reset = _mm256_set1_ps(lif.v_reset);
-        let v_thresh = _mm256_set1_ps(lif.v_thresh);
-        let zero = _mm256_setzero_ps();
-        let vp = v.as_mut_ptr();
-        let tp = theta.as_mut_ptr();
-        let rp = refractory.as_mut_ptr();
-        let dp = drive.as_ptr();
-        let cp = crossed.as_mut_ptr();
-        let mut any = false;
-        let mut c = 0;
-        while c + 8 <= n {
-            // th = t - t * dt / tau_theta — mul then div, scalar order.
-            let t = _mm256_loadu_ps(tp.add(c));
-            let th = _mm256_sub_ps(t, _mm256_div_ps(_mm256_mul_ps(t, dt), tau_theta));
-            _mm256_storeu_ps(tp.add(c), th);
-            let r = _mm256_loadu_ps(rp.add(c));
-            let in_refractory = _mm256_cmp_ps::<_CMP_GT_OQ>(r, zero);
-            // leaked = v + (v_rest - v) * dt / tau_membrane
-            let vv = _mm256_loadu_ps(vp.add(c));
-            let leaked = _mm256_add_ps(
-                vv,
-                _mm256_div_ps(_mm256_mul_ps(_mm256_sub_ps(v_rest, vv), dt), tau_membrane),
-            );
-            let integrated = _mm256_add_ps(leaked, _mm256_loadu_ps(dp.add(c)));
-            // cross = !in_refractory && integrated >= v_thresh + th
-            // (`>=` as an ordered quiet compare: false on NaN, like Rust).
-            let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(integrated, _mm256_add_ps(v_thresh, th));
-            let cross = _mm256_andnot_ps(in_refractory, ge);
-            _mm256_storeu_ps(
-                vp.add(c),
-                _mm256_blendv_ps(integrated, v_reset, in_refractory),
-            );
-            _mm256_storeu_ps(
-                rp.add(c),
-                _mm256_blendv_ps(r, _mm256_sub_ps(r, dt), in_refractory),
-            );
-            any |= _mm256_movemask_ps(cross) != 0;
-            // Write the 8 `bool` lanes with one 8-byte store: the 0/-1
-            // i32 lane masks become 0/1 i32s, saturating-pack to i16
-            // then i8 (0/1 survive both packs, lane order preserved) —
-            // eight scalar bit-test stores here cost more than the whole
-            // arithmetic body.
-            let ones = _mm256_and_si256(_mm256_castps_si256(cross), _mm256_set1_epi32(1));
-            let lo = _mm256_castsi256_si128(ones);
-            let hi = _mm256_extracti128_si256::<1>(ones);
-            let bytes = _mm_packs_epi16(_mm_packs_epi32(lo, hi), _mm_packs_epi32(lo, hi));
-            _mm_storel_epi64(cp.add(c).cast::<__m128i>(), bytes);
-            c += 8;
-        }
-        any |= scalar::integrate_lanes(
-            lif,
-            dt_ms,
-            &mut v[c..],
-            &mut theta[c..],
-            &mut refractory[c..],
-            &drive[c..],
-            &mut crossed[c..],
-        );
-        any
+        scalar::integrate_lanes(lif, dt_ms, v, theta, refractory, drive, crossed)
     }
 
-    /// # Safety
-    ///
-    /// AVX2 must be available.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inhibit_lanes(v: &mut [f32], strength: f32, floor: f32) {
-        let n = v.len();
-        let p = v.as_mut_ptr();
-        let s = _mm256_set1_ps(strength);
-        let f = _mm256_set1_ps(floor);
-        let mut c = 0;
-        while c + 8 <= n {
-            // (v - strength).max(floor): `_mm256_max_ps` returns its
-            // second operand when the first is NaN — exactly `f32::max`
-            // with a non-NaN floor.
-            let x = _mm256_sub_ps(_mm256_loadu_ps(p.add(c)), s);
-            _mm256_storeu_ps(p.add(c), _mm256_max_ps(x, f));
-            c += 8;
-        }
-        scalar::inhibit_lanes(&mut v[c..], strength, floor);
+    pub(super) fn inhibit_lanes(v: &mut [f32], strength: f32, floor: f32) {
+        scalar::inhibit_lanes(v, strength, floor);
     }
 }
 
@@ -1357,40 +1053,6 @@ mod tests {
                 assert_eq!(bits(&r_a), bits(&r_b), "{kernel:?} len={len}");
             }
         }
-    }
-
-    #[test]
-    fn accumulate_members_matches_per_member_streaming() {
-        // The fused pass must equal the pre-fusion per-member loop for
-        // every kernel, tail alignment and member multiplicity.
-        let stride = 23;
-        for kernel in Kernel::available() {
-            for (offset, width) in [(0usize, 23usize), (5, 9), (16, 7), (20, 3), (0, 8)] {
-                let members = [0usize, 2, 3];
-                let row_tile = nasty_lanes(width, 1);
-                let mut expect = nasty_lanes(4 * stride, 2);
-                let mut got = expect.clone();
-                for &b in &members {
-                    let dst = &mut expect[b * stride + offset..b * stride + offset + width];
-                    for (d, &w) in dst.iter_mut().zip(&row_tile) {
-                        *d += w;
-                    }
-                }
-                kernel.accumulate_members(&mut got, stride, offset, &members, &row_tile);
-                assert_eq!(
-                    bits(&expect),
-                    bits(&got),
-                    "{kernel:?} offset={offset} width={width}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn accumulate_members_rejects_out_of_bounds_member() {
-        let mut drive = vec![0.0f32; 16];
-        Kernel::Scalar.accumulate_members(&mut drive, 8, 4, &[1], &[1.0; 8]);
     }
 
     #[test]

@@ -27,16 +27,17 @@
 //!
 //! Both paths execute their hot inner loops (drive accumulation, LIF lane
 //! integration, the inhibition sweep) through the runtime-dispatched
-//! [`Kernel`](crate::kernels::Kernel) layer — portable scalar or x86_64
-//! AVX2, selected by `SPARKXD_KERNEL` / [`BatchState::with_kernel`] /
-//! [`RunState::with_kernel`] — whose lanes compute the exact scalar IEEE
-//! sequence, so the kernel choice never changes results either.
+//! [`Kernel`] layer — one portable body per kernel, compiled for the
+//! baseline ISA or for x86_64 AVX2, selected by `SPARKXD_KERNEL` /
+//! [`BatchState::with_kernel`] / [`RunState::with_kernel`] — whose lanes
+//! compute the exact scalar IEEE sequence, so the kernel choice never
+//! changes results either.
 //!
 //! [`DiehlCookNetwork`] composes the parameters with the STDP learning
 //! state and keeps the training-facing API (`train_epoch`, `run_sample`
 //! with `learn = true`); its inference entry points (`evaluate`,
 //! `label_neurons`) delegate to the
-//! [`BatchEvaluator`](crate::engine::BatchEvaluator). Training shares the
+//! [`BatchEvaluator`]. Training shares the
 //! planned encoder and the kernel layer too: depression and the drive
 //! read are one fused kernel row pass, the LIF integrate/fire/inhibit
 //! step runs on the same SoA lanes and kernels as `run_batch`, and column
@@ -769,7 +770,7 @@ fn lap<T>(clock: &mut Option<PhaseClock<'_, T>>, phase: impl FnOnce(&mut T) -> &
 ///
 /// The lanes are the one-sample case of [`BatchState`]'s slabs and go
 /// through the same kernel entry points ([`Kernel::integrate_lanes`],
-/// [`commit_firing_slab`], [`inhibit_slab`]), for inference
+/// `commit_firing_slab`, `inhibit_slab`), for inference
 /// ([`NetworkParams::run_sample`]) and STDP training alike.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunState {
@@ -1062,7 +1063,7 @@ impl DiehlCookNetwork {
     }
 
     /// The frozen half of the network — hand `&net.params()` to the
-    /// [`BatchEvaluator`](crate::engine::BatchEvaluator) for parallel
+    /// [`BatchEvaluator`] for parallel
     /// inference.
     pub fn params(&self) -> &NetworkParams {
         &self.params
@@ -1319,7 +1320,7 @@ impl DiehlCookNetwork {
 
     /// Assigns a class to each neuron from its responses on `dataset`
     /// (inference only, no learning). Samples are evaluated concurrently by
-    /// the [`BatchEvaluator`](crate::engine::BatchEvaluator); the result is
+    /// the [`BatchEvaluator`]; the result is
     /// independent of the worker count and batch size.
     pub fn label_neurons(&self, dataset: &Dataset, seed: u64) -> NeuronLabeler {
         BatchEvaluator::from_env().label_neurons(&self.params, dataset, seed)

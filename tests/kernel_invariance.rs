@@ -3,7 +3,9 @@
 //! bit through the whole engine, on the fixture, reference and checker in
 //! `invariance/mod.rs`. Below the engine, the sweeps prove every kernel
 //! entry point bit-identical to the portable kernel at every tail
-//! alignment, on NaN, ±Inf, denormal and signed-zero words.
+//! alignment, on NaN, ±Inf, denormal and signed-zero words, and the
+//! accumulate and inhibition entry points bit-identical to independent
+//! per-lane references.
 
 mod invariance;
 
@@ -12,7 +14,7 @@ use proptest::prelude::*;
 use sparkxd::snn::kernels::LifLanes;
 use sparkxd::snn::IntraChoice::{Off, Workers};
 use sparkxd::snn::KernelChoice::{Avx2, Scalar};
-use sparkxd::snn::{Kernel, LifConfig, PoissonEncoder, StdpConfig};
+use sparkxd::snn::{Kernel, LifConfig, PoissonEncoder, StdpConfig, StoredWeights};
 
 /// Each kernel at one-lane, ragged, exact-fit and single tiles, on
 /// batches of 2, 5 and 13. `Avx2` falls back to the portable kernel on a
@@ -111,16 +113,6 @@ fn check_kernels_agree(len: usize, phase: usize) {
         Kernel::Scalar.accumulate_finite(&mut a, &row);
         kernel.accumulate_finite(&mut b, &row);
         assert_bits_eq(&b, &a, "accumulate_finite");
-        // Fused multi-member accumulate: 3 members in a stride-`len`+3 slab.
-        let stride = len + 3;
-        let members = [0usize, 1, 2];
-        let mut a: Vec<f32> = (0..3 * stride)
-            .map(|i| NASTY[(i + phase) % NASTY.len()])
-            .collect();
-        let mut b = a.clone();
-        Kernel::Scalar.accumulate_members(&mut a, stride, 0, &members, &row);
-        kernel.accumulate_members(&mut b, stride, 0, &members, &row);
-        assert_bits_eq(&b, &a, "accumulate_members");
         // Branch-free LIF lane update.
         let run = |k: Kernel| {
             let mut v = membrane_vec(len, phase);
@@ -270,6 +262,86 @@ fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
             check_clean_kernels_match_generic(len, phase);
         }
     }
+}
+
+// Both kernels compile the same portable body, so the sweeps above
+// compare one source with itself. The sweeps below hold the accumulate
+// and inhibition entry points of every kernel, the portable one
+// included, to an independent per-lane reference: the model's own
+// definition, not the kernel body's vectorisable form.
+
+/// Calls `check(len, phase, kernel)` at every point of the tail-alignment
+/// sweep, for every available kernel.
+fn each_point(mut check: impl FnMut(usize, usize, Kernel)) {
+    for len in 0..=23 {
+        for phase in 0..NASTY.len() {
+            for &kernel in Kernel::available() {
+                check(len, phase, kernel);
+            }
+        }
+    }
+}
+
+#[test]
+fn inhibit_lanes_matches_f32_max_per_lane() {
+    // The model's floor and other non-NaN floors that are not signed
+    // zeros: negative and positive, denormal and huge.
+    let model = LifConfig::excitatory().inhibition_floor();
+    each_point(|len, phase, kernel| {
+        for floor in [model, -7.0e-42, 1.0e-3, 2.5, -3.4e38] {
+            for strength in [7.5, 0.0, -1.0e-3] {
+                let mut got = nasty_vec(len, phase);
+                let want: Vec<f32> = got.iter().map(|v| (v - strength).max(floor)).collect();
+                kernel.inhibit_lanes(&mut got, strength, floor);
+                let what = format!("inhibit_lanes {kernel:?} len={len} phase={phase} floor={floor} strength={strength}");
+                assert_bits_eq(&got, &want, &what);
+            }
+        }
+    });
+}
+
+/// Nasty accumulators, and all `-0.0` ones: adding a `+0.0` would flip
+/// their sign, where skipping keeps it.
+fn accumulators(len: usize, phase: usize) -> [Vec<f32>; 2] {
+    [nasty_vec(len, phase + 5), vec![-0.0; len]]
+}
+
+#[test]
+fn accumulate_finite_matches_a_skipping_loop() {
+    each_point(|len, phase, kernel| {
+        let row = nasty_vec(len, phase);
+        for mut got in accumulators(len, phase) {
+            let mut want = got.clone();
+            for (d, &w) in want.iter_mut().zip(&row) {
+                if w.is_finite() {
+                    *d += w;
+                }
+            }
+            kernel.accumulate_finite(&mut got, &row);
+            let what = format!("accumulate_finite {kernel:?} len={len} phase={phase}");
+            assert_bits_eq(&got, &want, &what);
+        }
+    });
+}
+
+#[test]
+fn accumulate_effective_matches_the_read_rule_per_lane() {
+    each_point(|len, phase, kernel| {
+        let row = nasty_vec(len, phase);
+        for w_max in [1.0, 0.015625] {
+            for mut got in accumulators(len, phase) {
+                let mut want = got.clone();
+                for (d, &w) in want.iter_mut().zip(&row) {
+                    *d += StoredWeights::effective(w, w_max);
+                }
+                kernel.accumulate_effective(&mut got, &row, w_max);
+                let what = format!(
+                    "accumulate_effective {kernel:?} len={len} phase={phase} w_max={w_max}"
+                );
+                assert_bits_eq(&got, &want, &what);
+            }
+        }
+    });
 }
 
 /// The finite words of [`NASTY`]: signed zeros, denormals, ±3.4e38 (so
