@@ -16,13 +16,20 @@
 //!   sample's normalisation scrubs every column: the first sample trains
 //!   on a dirty store and every later one on a clean store;
 //!
-//! plus the full `PipelineOutcome` of the tiny pipeline at fp32 and int8.
+//! plus the full `PipelineOutcome` of the tiny pipeline at fp32, int8 and
+//! int16, the weights and calibration accuracy of every tier of a mixed
+//! int8/int16/fp32 ladder, and an int16 tolerance curve — the
+//! corrupt-and-evaluate paths at every storage precision.
 //!
 //! The pins hold under every `SPARKXD_KERNEL` setting: kernel dispatch
 //! never changes results.
 
+use sparkxd::circuit::Volt;
 use sparkxd::core::pipeline::{PipelineConfig, PipelineOutcome, SparkXdPipeline};
+use sparkxd::core::tolerance::analyze_tolerance_quantized;
+use sparkxd::core::TierBuilder;
 use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
+use sparkxd::error::ErrorModel;
 use sparkxd::snn::{DiehlCookNetwork, SnnConfig, WeightPrecision};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -131,6 +138,22 @@ fn tiny_config(seed: u64) -> PipelineConfig {
     }
 }
 
+/// The tiny pipeline's network after one baseline epoch, with its
+/// calibration set.
+fn tiny_trained(seed: u64) -> (PipelineConfig, DiehlCookNetwork, Dataset) {
+    let cfg = tiny_config(seed);
+    let train = cfg.dataset.generate(cfg.train_samples, cfg.data_seed);
+    let test = cfg
+        .dataset
+        .generate(cfg.test_samples, cfg.data_seed ^ 0x7E57);
+    let snn_config = SnnConfig::for_neurons(cfg.neurons)
+        .with_timesteps(cfg.timesteps)
+        .with_weight_seed(cfg.device_seed ^ 0x11);
+    let mut net = DiehlCookNetwork::new(snn_config);
+    net.train_epoch(&train, 1);
+    (cfg, net, test)
+}
+
 fn pipeline_hash(precision: WeightPrecision) -> u64 {
     let outcome = SparkXdPipeline::new(tiny_config(42).with_precision(precision))
         .run()
@@ -191,4 +214,58 @@ fn tiny_pipeline_outcome_fp32_is_pinned() {
 #[test]
 fn tiny_pipeline_outcome_int8_is_pinned() {
     assert_eq!(pipeline_hash(WeightPrecision::Int8), 0x3f7f_5d30_975e_c4ea);
+}
+
+#[test]
+fn tiny_pipeline_outcome_int16_is_pinned() {
+    assert_eq!(pipeline_hash(WeightPrecision::Int16), 0xd7a9_14d2_cbfa_5671);
+}
+
+/// FNV-1a over every tier's corrupted weight bits, then its calibration
+/// accuracy, in ladder order.
+#[test]
+fn mixed_precision_ladder_is_pinned() {
+    let (cfg, net, _) = tiny_trained(8);
+    let set = TierBuilder::new(cfg)
+        .with_rungs(vec![
+            (Volt(1.05), WeightPrecision::Int8),
+            (Volt(1.1), WeightPrecision::Int16),
+            (Volt(1.175), WeightPrecision::Fp32),
+        ])
+        .build_from_model(&net, 1e-4)
+        .expect("mixed-precision ladder builds");
+    assert_eq!(set.tiers.len(), 3, "every rung built");
+    let hash = set.tiers.iter().fold(FNV_OFFSET, |h, tier| {
+        let h = tier
+            .params
+            .weights()
+            .as_slice()
+            .iter()
+            .fold(h, |h, w| fnv1a(h, &w.to_bits().to_le_bytes()));
+        fnv1a(h, &tier.accuracy_estimate.to_bits().to_le_bytes())
+    });
+    assert_eq!(hash, 0xdc96_bbe5_813b_94a2);
+}
+
+/// FNV-1a over the `(ber, accuracy)` bits of an int16 tolerance curve.
+#[test]
+fn int16_tolerance_curve_is_pinned() {
+    let (cfg, mut net, test) = tiny_trained(9);
+    let train = cfg.dataset.generate(cfg.train_samples, cfg.data_seed);
+    let labeler = net.label_neurons(&train, 6);
+    let curve = analyze_tolerance_quantized(
+        &mut net,
+        &labeler,
+        &test,
+        &[1e-5, 1e-3, 1e-2, 5e-2],
+        ErrorModel::Model0,
+        2,
+        99,
+        WeightPrecision::Int16,
+    );
+    let hash = curve.points().iter().fold(FNV_OFFSET, |h, &(ber, acc)| {
+        let h = fnv1a(h, &ber.to_bits().to_le_bytes());
+        fnv1a(h, &acc.to_bits().to_le_bytes())
+    });
+    assert_eq!(hash, 0x086a_4041_3039_07ac);
 }
