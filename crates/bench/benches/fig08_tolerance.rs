@@ -3,7 +3,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sparkxd_core::tolerance::analyze_tolerance;
 use sparkxd_data::{SynthDigits, SyntheticSource};
 use sparkxd_error::ErrorModel;
-use sparkxd_snn::{DiehlCookNetwork, SnnConfig};
+use sparkxd_snn::{DiehlCookNetwork, SnnConfig, WeightPrecision};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -24,6 +24,7 @@ fn bench(c: &mut Criterion) {
                 ErrorModel::Model0,
                 1,
                 7,
+                WeightPrecision::Fp32,
             )
             .points()
             .len()

@@ -8,6 +8,7 @@ use crate::table::TextTable;
 use sparkxd_core::pipeline::DatasetKind;
 use sparkxd_core::tolerance::{analyze_tolerance, ToleranceCurve};
 use sparkxd_error::ErrorModel;
+use sparkxd_snn::WeightPrecision;
 
 /// Result of the tolerance analysis for one network size.
 #[derive(Debug, Clone)]
@@ -46,6 +47,7 @@ pub fn run(scale: &Scale, seed: u64) -> ToleranceAnalysis {
         ErrorModel::Model0,
         scale.eval_trials,
         seed ^ 0xF18,
+        WeightPrecision::Fp32,
     );
     let improved_curve = analyze_tolerance(
         &mut improved,
@@ -55,6 +57,7 @@ pub fn run(scale: &Scale, seed: u64) -> ToleranceAnalysis {
         ErrorModel::Model0,
         scale.eval_trials,
         seed ^ 0xF19,
+        WeightPrecision::Fp32,
     );
     let target_accuracy = outcome.baseline_accuracy - 0.01;
     ToleranceAnalysis {

@@ -6,7 +6,7 @@ use crate::experiments::common::{train_pair, TrainedPair};
 use crate::scale::Scale;
 use crate::table::TextTable;
 use sparkxd_core::pipeline::DatasetKind;
-use sparkxd_core::tolerance::{analyze_tolerance, analyze_tolerance_quantized, ToleranceCurve};
+use sparkxd_core::tolerance::{analyze_tolerance, ToleranceCurve};
 use sparkxd_error::ErrorModel;
 use sparkxd_snn::WeightPrecision;
 
@@ -53,6 +53,7 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
                 ErrorModel::Model0,
                 scale.eval_trials,
                 seed ^ 0x1101,
+                WeightPrecision::Fp32,
             );
             let improved_curve = analyze_tolerance(
                 &mut improved,
@@ -62,8 +63,9 @@ pub fn run(scale: &Scale, seed: u64) -> Vec<Fig11Panel> {
                 ErrorModel::Model0,
                 scale.eval_trials,
                 seed ^ 0x1102,
+                WeightPrecision::Fp32,
             );
-            let improved_int8_curve = analyze_tolerance_quantized(
+            let improved_int8_curve = analyze_tolerance(
                 &mut improved,
                 &outcome.labeler,
                 &test,

@@ -36,6 +36,7 @@
 //! );
 //! ```
 
+mod corrupt;
 pub mod energy_eval;
 pub mod mapping;
 pub mod pipeline;

@@ -5,6 +5,7 @@
 //! model, its maximum tolerable BER, the error-aware DRAM mapping, and the
 //! energy/throughput comparison against the accurate-DRAM baseline.
 
+use crate::corrupt::{self, Errors, Scratch};
 use crate::energy_eval::{EnergyComparison, EnergyEvaluation};
 use crate::mapping::{BaselineMapping, Mapping, MappingPolicy, SparkXdMapping};
 use crate::trace_gen::columns_for_network;
@@ -14,7 +15,7 @@ use sparkxd_circuit::Volt;
 use sparkxd_data::{Dataset, SynthDigits, SynthFashion, SyntheticSource};
 use sparkxd_dram::DramConfig;
 use sparkxd_error::{BerCurve, Injector, WeakCellMap};
-use sparkxd_snn::{DiehlCookNetwork, QuantizedImage, SnnConfig, WeightPrecision};
+use sparkxd_snn::{DiehlCookNetwork, SnnConfig, WeightPrecision};
 
 /// Which synthetic dataset to run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -377,8 +378,10 @@ impl SparkXdPipeline {
         })
     }
 
-    /// Stage 6: accuracy at the operating point — inject through the
-    /// actual mapping and per-subarray rates, then evaluate in parallel.
+    /// Stage 6: accuracy at the operating point — inject once through the
+    /// actual mapping and per-subarray rates into the DRAM image at the
+    /// configured precision, then evaluate in parallel. Weights are
+    /// restored afterwards.
     fn stage_operating_accuracy(
         &self,
         net: &mut DiehlCookNetwork,
@@ -387,12 +390,20 @@ impl SparkXdPipeline {
         op: &OperatingPointStage,
         maps: &MappingStage,
     ) -> Result<f64, CoreError> {
-        self.accuracy_with_mapping(
+        let cfg = &self.config;
+        let placements = maps.spark_mapping.placements(net.weights().len());
+        let mut scratch = Scratch::for_net(net);
+        corrupt::mean_accuracy(
             net,
-            &tolerance.outcome.labeler,
-            &data.test,
-            &maps.spark_mapping,
-            &op.profile,
+            cfg.precision,
+            &mut scratch,
+            Injector::new(cfg.training.error_model, cfg.device_seed ^ 0x0B5E),
+            Errors::Placed(&placements, &op.profile),
+            1,
+            |net, _| {
+                let labeler = &tolerance.outcome.labeler;
+                net.evaluate(&data.test, labeler, cfg.training.spike_seed ^ 0x0ACC)
+            },
         )
     }
 
@@ -403,70 +414,6 @@ impl SparkXdPipeline {
             baseline: EnergyEvaluation::evaluate(&maps.baseline_config, &maps.baseline_mapping),
             improved: EnergyEvaluation::evaluate(&op.approx_config, &maps.spark_mapping),
         }
-    }
-
-    fn accuracy_with_mapping(
-        &self,
-        net: &mut DiehlCookNetwork,
-        labeler: &sparkxd_snn::NeuronLabeler,
-        test: &Dataset,
-        mapping: &Mapping,
-        profile: &sparkxd_error::ErrorProfile,
-    ) -> Result<f64, CoreError> {
-        let cfg = &self.config;
-        if cfg.precision.is_quantized() {
-            return self.accuracy_with_quantized_mapping(net, labeler, test, mapping, profile);
-        }
-        let placements = mapping.placements(net.weights().len());
-        let mut injector = Injector::new(cfg.training.error_model, cfg.device_seed ^ 0x0B5E);
-        // Corrupt a single copy and swap it in; the clean weights ride in
-        // the scratch until the swap back, and only the plane rows the
-        // injection touched are re-derived on each swap.
-        let mut scratch = net.weights().clone();
-        let mut touched = Vec::new();
-        injector.inject_with_placements_tracked(
-            scratch.as_mut_slice(),
-            &placements,
-            profile,
-            &mut touched,
-        )?;
-        let rows = scratch.rows_of_words(&touched);
-        net.swap_weights_rows(&mut scratch, &rows);
-        let acc = net.evaluate(test, labeler, cfg.training.spike_seed ^ 0x0ACC);
-        net.swap_weights_rows(&mut scratch, &rows);
-        Ok(acc)
-    }
-
-    /// Quantised variant of `accuracy_with_mapping`: the DRAM image is the
-    /// packed code payload, so injection flips codes at the native word
-    /// width through the (precision-aware) placements, and the corrupted
-    /// image dequantises into the network for evaluation. Even the clean
-    /// quantised weights differ from the FP32 store in every row, so this
-    /// path swaps full images rather than touched rows.
-    fn accuracy_with_quantized_mapping(
-        &self,
-        net: &mut DiehlCookNetwork,
-        labeler: &sparkxd_snn::NeuronLabeler,
-        test: &Dataset,
-        mapping: &Mapping,
-        profile: &sparkxd_error::ErrorProfile,
-    ) -> Result<f64, CoreError> {
-        let cfg = &self.config;
-        let mut image = QuantizedImage::quantize(net.weights(), cfg.precision);
-        let placements = mapping.placements(image.words());
-        let mut injector = Injector::new(cfg.training.error_model, cfg.device_seed ^ 0x0B5E);
-        let word_bits = image.word_bits();
-        injector.inject_packed_with_placements(
-            image.payload_mut(),
-            word_bits,
-            &placements,
-            profile,
-        )?;
-        let clean = net.weights().clone();
-        net.set_weights(image.dequantize());
-        let acc = net.evaluate(test, labeler, cfg.training.spike_seed ^ 0x0ACC);
-        net.set_weights(clean);
-        Ok(acc)
     }
 }
 

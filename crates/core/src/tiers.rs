@@ -22,6 +22,7 @@
 //! [`TierBuilder::build_from_model`] skips the training stages when the
 //! caller already has a trained network.
 
+use crate::corrupt::{self, Errors};
 use crate::energy_eval::EnergyEvaluation;
 use crate::mapping::MappingPolicy;
 use crate::pipeline::{MappingSummary, PipelineConfig};
@@ -32,9 +33,7 @@ use sparkxd_circuit::Volt;
 use sparkxd_dram::DramConfig;
 use sparkxd_error::{Injector, WeakCellMap};
 use sparkxd_snn::engine::BatchEvaluator;
-use sparkxd_snn::{
-    DiehlCookNetwork, NetworkParams, NeuronLabeler, QuantizedImage, WeightPrecision,
-};
+use sparkxd_snn::{DiehlCookNetwork, NetworkParams, NeuronLabeler, WeightPrecision};
 
 /// One deployable operating point: a corrupted-and-scrubbed model instance
 /// at a fixed supply voltage and storage precision, tagged with everything
@@ -298,27 +297,15 @@ impl TierBuilder {
 
         // Corrupt a copy of the improved weights through the tier's actual
         // placements; `set_weights` rebuilds the effective plane, which is
-        // where the one-time scrub (clamp) happens. A quantised rung packs
-        // the image first and flips bits in the packed codes.
+        // where the one-time scrub (clamp) happens.
         let mut params = net.params().clone();
-        let mut injector = Injector::new(cfg.training.error_model, cfg.device_seed ^ v.0.to_bits());
-        if precision.is_quantized() {
-            let mut image = QuantizedImage::quantize(params.weights(), precision);
-            let placements = mapping.placements(image.words());
-            let word_bits = image.word_bits();
-            injector.inject_packed_with_placements(
-                image.payload_mut(),
-                word_bits,
-                &placements,
-                &profile,
-            )?;
-            params.set_weights(image.dequantize());
-        } else {
-            let placements = mapping.placements(params.weights().len());
-            let mut corrupted = params.weights().clone();
-            injector.inject_with_placements(corrupted.as_mut_slice(), &placements, &profile)?;
-            params.set_weights(corrupted);
-        }
+        let placements = mapping.placements(params.weights().len());
+        params.set_weights(corrupt::corrupted(
+            params.weights(),
+            precision,
+            Injector::new(cfg.training.error_model, cfg.device_seed ^ v.0.to_bits()),
+            Errors::Placed(&placements, &profile),
+        )?);
 
         let accuracy_estimate = self
             .calibration_eval

@@ -5,9 +5,10 @@
 //! meets the target is the maximum tolerable BER (`BER_th`) used to drive
 //! the DRAM mapping.
 
+use crate::corrupt::{self, Errors, Scratch};
 use sparkxd_data::Dataset;
 use sparkxd_error::{ErrorModel, Injector};
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, QuantizedImage, WeightPrecision};
+use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, WeightPrecision};
 
 /// An accuracy-versus-BER curve for one model.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -53,58 +54,23 @@ impl ToleranceCurve {
 }
 
 /// Measures the tolerance curve of `net` (with frozen weights) across
-/// `bers`, injecting `trials` fresh error patterns per rate and averaging.
-/// Weights are restored before returning.
+/// `bers`, injecting `trials` fresh error patterns per rate into its DRAM
+/// image at `precision` and averaging. Weights are restored before
+/// returning.
+///
+/// At int8/int16 the bits flip in the packed codes at the native word
+/// width, so 8/16-bit words see proportionally fewer flips per weight
+/// than a 32-bit image at the same BER. Every precision uses the same
+/// seed derivations per BER point and trial, so curves at two precisions
+/// differ only in the image, not in the error-pattern stream.
 ///
 /// Error patterns are generated sequentially (each BER point owns a
 /// deterministic injector stream), but every evaluation under a pattern is
 /// sharded across samples by the parallel batch engine, so the sweep's
 /// wall time scales with the worker count while its result stays
 /// bit-identical to a serial run.
+#[allow(clippy::too_many_arguments)]
 pub fn analyze_tolerance(
-    net: &mut DiehlCookNetwork,
-    labeler: &NeuronLabeler,
-    test: &Dataset,
-    bers: &[f64],
-    model: ErrorModel,
-    trials: usize,
-    seed: u64,
-) -> ToleranceCurve {
-    let mut points = Vec::with_capacity(bers.len());
-    let mut scratch = net.weights().clone();
-    let mut touched = Vec::new();
-    for (k, &ber) in bers.iter().enumerate() {
-        let mut injector = Injector::new(model, seed ^ (k as u64) << 8);
-        let mut total = 0.0;
-        for trial in 0..trials.max(1) {
-            scratch
-                .as_mut_slice()
-                .copy_from_slice(net.weights().as_slice());
-            touched.clear();
-            injector.inject_uniform_tracked(scratch.as_mut_slice(), ber, &mut touched);
-            // Corrupt-and-swap: only the rows the flips touched need their
-            // effective-plane entries re-derived, in both directions.
-            let rows = scratch.rows_of_words(&touched);
-            net.swap_weights_rows(&mut scratch, &rows);
-            total += net.evaluate(test, labeler, seed ^ 0xACC ^ ((trial as u64) << 24));
-            net.swap_weights_rows(&mut scratch, &rows);
-        }
-        points.push((ber, total / trials.max(1) as f64));
-    }
-    ToleranceCurve::from_points(points)
-}
-
-/// [`analyze_tolerance`] for a packed quantised DRAM image: each trial
-/// quantises the frozen weights to `precision`, flips bits in the packed
-/// codes at the native word width (8/16-bit words see proportionally fewer
-/// flips per weight than a 32-bit image at the same BER), and evaluates
-/// the dequantised result. Weights are restored before returning.
-///
-/// The same `seed` derivations as the FP32 sweep are used per BER point
-/// and trial, so a curve pair at both precisions differs only in the
-/// injection substrate, not the error-pattern stream.
-#[allow(clippy::too_many_arguments)] // mirrors `analyze_tolerance` + precision
-pub fn analyze_tolerance_quantized(
     net: &mut DiehlCookNetwork,
     labeler: &NeuronLabeler,
     test: &Dataset,
@@ -114,25 +80,24 @@ pub fn analyze_tolerance_quantized(
     seed: u64,
     precision: WeightPrecision,
 ) -> ToleranceCurve {
-    let clean = net.weights().clone();
-    let clean_image = QuantizedImage::quantize(&clean, precision);
-    let word_bits = clean_image.word_bits();
-    let mut points = Vec::with_capacity(bers.len());
-    for (k, &ber) in bers.iter().enumerate() {
-        let mut injector = Injector::new(model, seed ^ (k as u64) << 8);
-        let mut total = 0.0;
-        for trial in 0..trials.max(1) {
-            let mut image = clean_image.clone();
-            injector.inject_uniform_packed(image.payload_mut(), word_bits, ber);
-            // Even the clean dequantised weights differ from the FP32
-            // store in every row, so this path swaps full images rather
-            // than touched rows.
-            net.set_weights(image.dequantize());
-            total += net.evaluate(test, labeler, seed ^ 0xACC ^ ((trial as u64) << 24));
-        }
-        points.push((ber, total / trials.max(1) as f64));
-    }
-    net.set_weights(clean);
+    let mut scratch = Scratch::for_net(net);
+    let points = bers
+        .iter()
+        .enumerate()
+        .map(|(k, &ber)| {
+            let accuracy = corrupt::mean_accuracy(
+                net,
+                precision,
+                &mut scratch,
+                Injector::new(model, seed ^ (k as u64) << 8),
+                Errors::Uniform(ber),
+                trials,
+                |net, trial| net.evaluate(test, labeler, seed ^ 0xACC ^ ((trial as u64) << 24)),
+            )
+            .expect("uniform injection cannot fail");
+            (ber, accuracy)
+        })
+        .collect();
     ToleranceCurve::from_points(points)
 }
 
@@ -186,7 +151,7 @@ mod tests {
         net.train_epoch(&train, 5);
         let labeler = net.label_neurons(&train, 6);
         let before = net.weights().clone();
-        let curve = analyze_tolerance_quantized(
+        let curve = analyze_tolerance(
             &mut net,
             &labeler,
             &test,
@@ -211,6 +176,7 @@ mod tests {
             ErrorModel::Model0,
             2,
             99,
+            WeightPrecision::Fp32,
         );
         assert!((lo - fp32.points()[0].1).abs() <= 0.1);
     }
@@ -231,6 +197,7 @@ mod tests {
             ErrorModel::Model0,
             2,
             99,
+            WeightPrecision::Fp32,
         );
         assert_eq!(net.weights(), &before, "weights restored");
         assert_eq!(curve.points().len(), 2);

@@ -8,10 +8,11 @@
 //! candidate `BER_th`, and the corresponding weights become the improved
 //! model (Algorithm 1 lines 10–13).
 
+use crate::corrupt::{self, Errors, Scratch};
 use crate::CoreError;
 use sparkxd_data::Dataset;
-use sparkxd_error::{ErrorModel, Injector};
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, StoredWeights};
+use sparkxd_error::{ErrorModel, InjectError, Injector};
+use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, WeightPrecision};
 
 /// Configuration of the fault-aware training loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,13 +116,12 @@ impl FaultAwareTrainer {
         trials: usize,
         seed: u64,
     ) -> f64 {
-        let mut scratch = net.weights().clone();
+        let mut scratch = Scratch::for_net(net);
         self.accuracy_under_errors_in(net, labeler, test, ber, trials, seed, &mut scratch)
     }
 
-    /// [`accuracy_under_errors`](Self::accuracy_under_errors) on a
-    /// caller-owned scratch image, refreshed per trial through the
-    /// buffer-reusing `clone_from`, so repeated calls allocate nothing.
+    /// [`accuracy_under_errors`](Self::accuracy_under_errors) on
+    /// caller-owned scratch, so repeated calls allocate nothing.
     #[allow(clippy::too_many_arguments)]
     fn accuracy_under_errors_in(
         &self,
@@ -131,21 +131,18 @@ impl FaultAwareTrainer {
         ber: f64,
         trials: usize,
         seed: u64,
-        scratch: &mut StoredWeights,
+        scratch: &mut Scratch,
     ) -> f64 {
-        let mut injector = Injector::new(self.config.error_model, seed);
-        let mut total = 0.0;
-        let mut touched = Vec::new();
-        for trial in 0..trials.max(1) {
-            scratch.clone_from(net.weights());
-            touched.clear();
-            injector.inject_uniform_tracked(scratch.as_mut_slice(), ber, &mut touched);
-            let rows = scratch.rows_of_words(&touched);
-            net.swap_weights_rows(scratch, &rows);
-            total += net.evaluate(test, labeler, self.config.spike_seed ^ (trial as u64) << 32);
-            net.swap_weights_rows(scratch, &rows);
-        }
-        total / trials.max(1) as f64
+        corrupt::mean_accuracy(
+            net,
+            WeightPrecision::Fp32,
+            scratch,
+            Injector::new(self.config.error_model, seed),
+            Errors::Uniform(ber),
+            trials,
+            |net, trial| net.evaluate(test, labeler, self.config.spike_seed ^ (trial as u64) << 32),
+        )
+        .expect("uniform injection cannot fail")
     }
 
     /// Improves and analyses the error tolerance of `net` (Algorithm 1).
@@ -175,8 +172,9 @@ impl FaultAwareTrainer {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice; returns [`CoreError`] for forward
-    /// compatibility with fallible substrates.
+    /// [`CoreError::Inject`] with [`InjectError::InvalidBer`] if a
+    /// scheduled rate is outside `[0, 0.5]` (NaN included), before any
+    /// training.
     pub fn improve(
         &self,
         net: &mut DiehlCookNetwork,
@@ -184,6 +182,9 @@ impl FaultAwareTrainer {
         test: &Dataset,
     ) -> Result<FaultAwareOutcome, CoreError> {
         let cfg = &self.config;
+        if let Some(&ber) = cfg.ber_schedule.iter().find(|b| !(0.0..=0.5).contains(*b)) {
+            return Err(CoreError::Inject(InjectError::InvalidBer(ber)));
+        }
         let mut injector = Injector::new(cfg.error_model, cfg.injection_seed);
         let mut tally = Tally {
             accuracy_bound: cfg.accuracy_bound,
@@ -191,7 +192,7 @@ impl FaultAwareTrainer {
             curve: Vec::with_capacity(cfg.ber_schedule.len()),
             best: None,
         };
-        let mut scratch = net.weights().clone();
+        let mut scratch = Scratch::for_net(net);
         let mut spare: Option<DiehlCookNetwork> = None;
         let mut pending = Checkpoint::Baseline;
         for (step, &ber) in cfg.ber_schedule.iter().enumerate() {
@@ -273,7 +274,7 @@ impl FaultAwareTrainer {
     fn measure(
         &self,
         model: &mut DiehlCookNetwork,
-        scratch: &mut StoredWeights,
+        scratch: &mut Scratch,
         train: &Dataset,
         test: &Dataset,
         at: Checkpoint,

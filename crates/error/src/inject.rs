@@ -1,9 +1,10 @@
 //! Bit-error injection into weight images.
 //!
-//! Injection operates on weight words of a configurable width: the raw
-//! FP32 image (`&mut [f32]`, 32 bits/word) or a packed quantised image
-//! (`&mut [u8]` payload at 8 or 16 bits/word — see `sparkxd-snn`'s
-//! `QuantizedImage`). Each word has a *placement* describing where its
+//! Injection operates on a [`WordImage`]: the raw FP32 image
+//! (`&mut [f32]`, 32 bits/word) or a packed quantised image (`&mut [u8]`
+//! payload at 8 or 16 bits/word — see `sparkxd-snn`'s `QuantizedImage`).
+//! Every entry point takes either, so one set of entry points serves
+//! every storage format. Each word has a *placement* describing where its
 //! bits physically live in DRAM (which subarray, wordline and bitline
 //! range); the active [`ErrorModel`] and per-subarray [`ErrorProfile`]
 //! then determine each bit's flip probability. This is the paper's
@@ -65,84 +66,104 @@ impl InjectionReport {
     }
 }
 
-/// A mutable view of a weight image as `words()` words of `word_bits()`
-/// bits each — the abstraction the injector flips through, so one
-/// implementation serves FP32 and packed quantised images alike.
-trait BitImage {
-    fn words(&self) -> usize;
-    fn word_bits(&self) -> u32;
-    /// Stored value of bit `bit` of word `word` (Model 3 reads this).
-    fn bit(&self, word: usize, bit: u32) -> bool;
-    /// XORs bit `bit` of word `word`.
-    fn flip(&mut self, word: usize, bit: u32);
+/// The DRAM weight image an injection corrupts, at its native word width.
+///
+/// Every [`Injector`] entry point takes `impl Into<WordImage>`, so an
+/// `f32` image passes as `&mut [f32]` or `&mut Vec<f32>` and a packed one
+/// through [`WordImage::packed`].
+#[derive(Debug)]
+pub enum WordImage<'a> {
+    /// Raw FP32 image: one `f32` per 32-bit word, flipped through
+    /// `to_bits`/`from_bits`.
+    F32(&'a mut [f32]),
+    /// Packed little-endian image of `word_bits`-wide words (8 | 16 | 32),
+    /// flipped directly in the byte payload.
+    Packed {
+        /// The packed words, `word_bits / 8` bytes each.
+        payload: &'a mut [u8],
+        /// Bits per word.
+        word_bits: u32,
+    },
 }
 
-/// FP32 image: one `f32` per word, flipped through `to_bits`/`from_bits`.
-struct F32Image<'a>(&'a mut [f32]);
+impl<'a> From<&'a mut [f32]> for WordImage<'a> {
+    fn from(words: &'a mut [f32]) -> Self {
+        Self::F32(words)
+    }
+}
 
-impl BitImage for F32Image<'_> {
+impl<'a> From<&'a mut Vec<f32>> for WordImage<'a> {
+    fn from(words: &'a mut Vec<f32>) -> Self {
+        Self::F32(words)
+    }
+}
+
+/// The injector flips through `words()` words of `word_bits()` bits each,
+/// so one implementation serves FP32 and packed quantised images alike.
+impl<'a> WordImage<'a> {
+    /// A packed image of `word_bits`-wide words. The width (8 | 16 | 32)
+    /// and a whole number of words are checked when it is injected.
+    pub fn packed(payload: &'a mut [u8], word_bits: u32) -> Self {
+        Self::Packed { payload, word_bits }
+    }
+
+    /// Checks a packed image's width and length; panics on either.
+    fn checked(self) -> Self {
+        if let Self::Packed { payload, word_bits } = &self {
+            assert!(
+                matches!(word_bits, 8 | 16 | 32),
+                "packed word widths are 8, 16 or 32 bits"
+            );
+            assert_eq!(
+                payload.len() % (*word_bits as usize / 8),
+                0,
+                "payload length must be a whole number of words"
+            );
+        }
+        self
+    }
+
     fn words(&self) -> usize {
-        self.0.len()
+        match self {
+            Self::F32(words) => words.len(),
+            Self::Packed { payload, word_bits } => payload.len() / (*word_bits as usize / 8),
+        }
     }
 
     fn word_bits(&self) -> u32 {
-        32
+        match self {
+            Self::F32(_) => 32,
+            Self::Packed { word_bits, .. } => *word_bits,
+        }
     }
 
-    fn bit(&self, word: usize, bit: u32) -> bool {
-        self.0[word].to_bits() & (1 << bit) != 0
-    }
-
-    fn flip(&mut self, word: usize, bit: u32) {
-        self.0[word] = f32::from_bits(self.0[word].to_bits() ^ (1 << bit));
-    }
-}
-
-/// Packed little-endian image: `word_bits / 8` bytes per word, flipped
-/// directly in the payload.
-struct PackedImage<'a> {
-    bytes: &'a mut [u8],
-    word_bits: u32,
-}
-
-impl<'a> PackedImage<'a> {
-    fn new(bytes: &'a mut [u8], word_bits: u32) -> Self {
-        assert!(
-            matches!(word_bits, 8 | 16 | 32),
-            "packed word widths are 8, 16 or 32 bits"
-        );
-        assert_eq!(
-            bytes.len() % (word_bits as usize / 8),
-            0,
-            "payload length must be a whole number of words"
-        );
-        Self { bytes, word_bits }
-    }
-
+    /// Byte and mask of bit `bit` of packed word `word`.
     #[inline]
-    fn locate(&self, word: usize, bit: u32) -> (usize, u8) {
-        let global = word * self.word_bits as usize + bit as usize;
+    fn locate(word_bits: u32, word: usize, bit: u32) -> (usize, u8) {
+        let global = word * word_bits as usize + bit as usize;
         (global / 8, 1u8 << (global % 8))
     }
-}
 
-impl BitImage for PackedImage<'_> {
-    fn words(&self) -> usize {
-        self.bytes.len() / (self.word_bits as usize / 8)
-    }
-
-    fn word_bits(&self) -> u32 {
-        self.word_bits
-    }
-
+    /// Stored value of bit `bit` of word `word` (Model 3 reads this).
     fn bit(&self, word: usize, bit: u32) -> bool {
-        let (byte, mask) = self.locate(word, bit);
-        self.bytes[byte] & mask != 0
+        match self {
+            Self::F32(words) => words[word].to_bits() & (1 << bit) != 0,
+            Self::Packed { payload, word_bits } => {
+                let (byte, mask) = Self::locate(*word_bits, word, bit);
+                payload[byte] & mask != 0
+            }
+        }
     }
 
+    /// XORs bit `bit` of word `word`.
     fn flip(&mut self, word: usize, bit: u32) {
-        let (byte, mask) = self.locate(word, bit);
-        self.bytes[byte] ^= mask;
+        match self {
+            Self::F32(words) => words[word] = f32::from_bits(words[word].to_bits() ^ (1 << bit)),
+            Self::Packed { payload, word_bits } => {
+                let (byte, mask) = Self::locate(*word_bits, word, bit);
+                payload[byte] ^= mask;
+            }
+        }
     }
 }
 
@@ -203,9 +224,14 @@ impl Injector {
     ///
     /// # Panics
     ///
-    /// Panics if `ber` is not within `[0, 0.5]`.
-    pub fn inject_uniform(&mut self, weights: &mut [f32], ber: f64) -> InjectionReport {
-        self.inject_uniform_tracked(weights, ber, &mut Vec::new())
+    /// Panics if `ber` is not within `[0, 0.5]`, or if a packed image's
+    /// width is not 8/16/32 or its payload not a whole number of words.
+    pub fn inject_uniform<'a>(
+        &mut self,
+        image: impl Into<WordImage<'a>>,
+        ber: f64,
+    ) -> InjectionReport {
+        self.inject_uniform_tracked(image, ber, &mut Vec::new())
     }
 
     /// [`inject_uniform`](Self::inject_uniform) that additionally appends
@@ -216,59 +242,14 @@ impl Injector {
     ///
     /// # Panics
     ///
-    /// Panics if `ber` is not within `[0, 0.5]`.
-    pub fn inject_uniform_tracked(
+    /// Same as [`inject_uniform`](Self::inject_uniform).
+    pub fn inject_uniform_tracked<'a>(
         &mut self,
-        weights: &mut [f32],
+        image: impl Into<WordImage<'a>>,
         ber: f64,
         touched_words: &mut Vec<usize>,
     ) -> InjectionReport {
-        self.uniform_tracked_impl(&mut F32Image(weights), ber, touched_words)
-    }
-
-    /// Uniform injection into a packed quantised payload at `word_bits`
-    /// bits per word (8 | 16 | 32), flipping bits directly in the bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ber` is not within `[0, 0.5]`, if `word_bits` is not
-    /// 8/16/32, or if `payload` is not a whole number of words.
-    pub fn inject_uniform_packed(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        ber: f64,
-    ) -> InjectionReport {
-        self.inject_uniform_packed_tracked(payload, word_bits, ber, &mut Vec::new())
-    }
-
-    /// [`inject_uniform_packed`](Self::inject_uniform_packed) that
-    /// additionally appends flipped word indices to `touched_words`
-    /// (ascending, deduplicated).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`inject_uniform_packed`](Self::inject_uniform_packed).
-    pub fn inject_uniform_packed_tracked(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        ber: f64,
-        touched_words: &mut Vec<usize>,
-    ) -> InjectionReport {
-        self.uniform_tracked_impl(
-            &mut PackedImage::new(payload, word_bits),
-            ber,
-            touched_words,
-        )
-    }
-
-    fn uniform_tracked_impl<I: BitImage>(
-        &mut self,
-        image: &mut I,
-        ber: f64,
-        touched_words: &mut Vec<usize>,
-    ) -> InjectionReport {
+        let mut image = image.into().checked();
         assert!((0.0..=0.5).contains(&ber), "ber must be in [0, 0.5]");
         let before = touched_words.len();
         let mut rng = self.next_rng();
@@ -297,19 +278,27 @@ impl Injector {
 
     /// Placement-aware injection: each word's bits flip according to the
     /// per-subarray rate of `profile`, spatially shaped by the error model.
+    /// Placements describe words of the image's width (a packed image's
+    /// `bit_offset_in_row` steps by its `word_bits`, as produced by a
+    /// mapping built for the quantised precision).
     ///
     /// # Errors
     ///
     /// [`InjectError::PlacementLengthMismatch`] if `placements` is shorter
-    /// than `weights`; [`InjectError::InvalidBer`] if any profile rate is
+    /// than the image; [`InjectError::InvalidBer`] if any profile rate is
     /// outside `[0, 0.5]`.
-    pub fn inject_with_placements(
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packed image's width is not 8/16/32 or its payload not
+    /// a whole number of words.
+    pub fn inject_with_placements<'a>(
         &mut self,
-        weights: &mut [f32],
+        image: impl Into<WordImage<'a>>,
         placements: &[WordPlacement],
         profile: &ErrorProfile,
     ) -> Result<InjectionReport, InjectError> {
-        self.inject_with_placements_tracked(weights, placements, profile, &mut Vec::new())
+        self.inject_with_placements_tracked(image, placements, profile, &mut Vec::new())
     }
 
     /// [`inject_with_placements`](Self::inject_with_placements) that
@@ -319,75 +308,18 @@ impl Injector {
     /// # Errors
     ///
     /// Same as [`inject_with_placements`](Self::inject_with_placements).
-    pub fn inject_with_placements_tracked(
-        &mut self,
-        weights: &mut [f32],
-        placements: &[WordPlacement],
-        profile: &ErrorProfile,
-        touched_words: &mut Vec<usize>,
-    ) -> Result<InjectionReport, InjectError> {
-        self.placements_tracked_impl(&mut F32Image(weights), placements, profile, touched_words)
-    }
-
-    /// Placement-aware injection into a packed quantised payload at
-    /// `word_bits` bits per word. Placements describe `word_bits`-wide
-    /// words (their `bit_offset_in_row` steps by `word_bits`, as produced
-    /// by a mapping built for the quantised precision).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`inject_with_placements`](Self::inject_with_placements).
     ///
     /// # Panics
     ///
-    /// Panics if `word_bits` is not 8/16/32 or `payload` is not a whole
-    /// number of words.
-    pub fn inject_packed_with_placements(
-        &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
-        placements: &[WordPlacement],
-        profile: &ErrorProfile,
-    ) -> Result<InjectionReport, InjectError> {
-        self.inject_packed_with_placements_tracked(
-            payload,
-            word_bits,
-            placements,
-            profile,
-            &mut Vec::new(),
-        )
-    }
-
-    /// [`inject_packed_with_placements`](Self::inject_packed_with_placements)
-    /// that additionally appends flipped word indices to `touched_words`
-    /// (ascending, deduplicated).
-    ///
-    /// # Errors
-    ///
     /// Same as [`inject_with_placements`](Self::inject_with_placements).
-    pub fn inject_packed_with_placements_tracked(
+    pub fn inject_with_placements_tracked<'a>(
         &mut self,
-        payload: &mut [u8],
-        word_bits: u32,
+        image: impl Into<WordImage<'a>>,
         placements: &[WordPlacement],
         profile: &ErrorProfile,
         touched_words: &mut Vec<usize>,
     ) -> Result<InjectionReport, InjectError> {
-        self.placements_tracked_impl(
-            &mut PackedImage::new(payload, word_bits),
-            placements,
-            profile,
-            touched_words,
-        )
-    }
-
-    fn placements_tracked_impl<I: BitImage>(
-        &mut self,
-        image: &mut I,
-        placements: &[WordPlacement],
-        profile: &ErrorProfile,
-        touched_words: &mut Vec<usize>,
-    ) -> Result<InjectionReport, InjectError> {
+        let mut image = image.into().checked();
         let words = image.words();
         if placements.len() < words {
             return Err(InjectError::PlacementLengthMismatch {
@@ -415,8 +347,14 @@ impl Injector {
                 end += 1;
             }
             let ber = profile.ber(sa);
-            let (run_flips, run_candidates) =
-                self.inject_run(image, start..end, placements, ber, &mut rng, touched_words);
+            let (run_flips, run_candidates) = self.inject_run(
+                &mut image,
+                start..end,
+                placements,
+                ber,
+                &mut rng,
+                touched_words,
+            );
             flips += run_flips;
             candidates += run_candidates;
             start = end;
@@ -438,9 +376,9 @@ impl Injector {
     /// Injects into one same-subarray run of words `run` (global indices);
     /// flipped words are appended to `touched_words`. Returns
     /// `(flips, candidates)`.
-    fn inject_run<I: BitImage>(
+    fn inject_run(
         &self,
-        image: &mut I,
+        image: &mut WordImage<'_>,
         run: std::ops::Range<usize>,
         placements: &[WordPlacement],
         ber: f64,
@@ -586,7 +524,7 @@ mod tests {
             let n_words = 100_000;
             let mut payload = vec![0xA5u8; n_words * bytes_per_word];
             let mut inj = Injector::new(ErrorModel::Model0, 1);
-            let report = inj.inject_uniform_packed(&mut payload, word_bits, 1e-3);
+            let report = inj.inject_uniform(WordImage::packed(&mut payload, word_bits), 1e-3);
             assert_eq!(report.words, n_words);
             assert_eq!(report.word_bits, word_bits);
             let n_bits = (n_words as f64) * word_bits as f64;
@@ -607,7 +545,8 @@ mod tests {
         let mut payload = vec![0x3Cu8; n_words * 2];
         let mut inj = Injector::new(ErrorModel::Model0, 11);
         let mut touched = Vec::new();
-        let report = inj.inject_uniform_packed_tracked(&mut payload, 16, 1e-3, &mut touched);
+        let report =
+            inj.inject_uniform_tracked(WordImage::packed(&mut payload, 16), 1e-3, &mut touched);
         assert!(report.flips > 0);
         assert!(touched.windows(2).all(|p| p[0] < p[1]));
         let changed: Vec<usize> = (0..n_words)
@@ -617,7 +556,8 @@ mod tests {
 
         // Identical seed/round via the untracked API corrupts identically.
         let mut payload2 = vec![0x3Cu8; n_words * 2];
-        Injector::new(ErrorModel::Model0, 11).inject_uniform_packed(&mut payload2, 16, 1e-3);
+        Injector::new(ErrorModel::Model0, 11)
+            .inject_uniform(WordImage::packed(&mut payload2, 16), 1e-3);
         assert_eq!(payload, payload2);
     }
 
@@ -636,7 +576,7 @@ mod tests {
         let profile = ErrorProfile::from_rates(1e-2, vec![0.0, 1e-2]);
         let mut inj = Injector::new(ErrorModel::Model0, 3);
         let report = inj
-            .inject_packed_with_placements(&mut payload, 8, &placements, &profile)
+            .inject_with_placements(WordImage::packed(&mut payload, 8), &placements, &profile)
             .unwrap();
         assert!(report.flips > 0);
         assert_eq!(report.word_bits, 8);
@@ -656,7 +596,7 @@ mod tests {
         let profile = ErrorProfile::uniform(1e-3, 1);
         let model = ErrorModel::Model1 { weak_fraction: 0.1 };
         let report = Injector::new(model, 77)
-            .inject_packed_with_placements(&mut payload, 8, &placements, &profile)
+            .inject_with_placements(WordImage::packed(&mut payload, 8), &placements, &profile)
             .unwrap();
         assert!(report.flips > 0);
         for (word, &byte) in payload.iter().enumerate() {
@@ -676,12 +616,12 @@ mod tests {
     fn packed_rejects_ragged_payloads_and_odd_widths() {
         let mut inj = Injector::new(ErrorModel::Model0, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.inject_uniform_packed(&mut [0u8; 3], 16, 1e-3)
+            inj.inject_uniform(WordImage::packed(&mut [0u8; 3], 16), 1e-3)
         }));
         assert!(result.is_err(), "3 bytes is not a whole number of u16s");
         let mut inj = Injector::new(ErrorModel::Model0, 1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.inject_uniform_packed(&mut [0u8; 4], 12, 1e-3)
+            inj.inject_uniform(WordImage::packed(&mut [0u8; 4], 12), 1e-3)
         }));
         assert!(result.is_err(), "12-bit words are unsupported");
     }
@@ -897,10 +837,10 @@ mod tests {
         let profile = ErrorProfile::uniform(5e-3, 1);
         let model = ErrorModel::Model3 { one_bias: 0.9 };
         let r_ones = Injector::new(model, 9)
-            .inject_packed_with_placements(&mut ones, 8, &placements, &profile)
+            .inject_with_placements(WordImage::packed(&mut ones, 8), &placements, &profile)
             .unwrap();
         let r_zeros = Injector::new(model, 9)
-            .inject_packed_with_placements(&mut zeros, 8, &placements, &profile)
+            .inject_with_placements(WordImage::packed(&mut zeros, 8), &placements, &profile)
             .unwrap();
         assert!(
             r_ones.flips > 3 * r_zeros.flips,
@@ -941,8 +881,8 @@ mod tests {
         Injector::new(ErrorModel::Model0, 42).inject_uniform(&mut as_f32, 1e-3);
 
         let mut as_bytes: Vec<u8> = clean.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let report =
-            Injector::new(ErrorModel::Model0, 42).inject_uniform_packed(&mut as_bytes, 32, 1e-3);
+        let report = Injector::new(ErrorModel::Model0, 42)
+            .inject_uniform(WordImage::packed(&mut as_bytes, 32), 1e-3);
         assert_eq!(report.word_bits, 32);
         let roundtrip: Vec<f32> = as_bytes
             .chunks_exact(4)

@@ -18,7 +18,7 @@
 //!   ([`WeakCellMap`], [`ErrorProfile`]) — the input to SparkXD's
 //!   safe-subarray mapping, and
 //! * fast, deterministic **bit-flip injection** into weight images
-//!   ([`Injector`]).
+//!   ([`Injector`]), raw FP32 or packed int8/int16 alike ([`WordImage`]).
 //!
 //! ## Example
 //!
@@ -43,7 +43,7 @@ pub mod voltage;
 pub mod weak_cells;
 
 pub use ecc::{DecodeOutcome, SecDed};
-pub use inject::{InjectionReport, Injector, WordPlacement};
+pub use inject::{InjectionReport, Injector, WordImage, WordPlacement};
 pub use models::ErrorModel;
 pub use voltage::BerCurve;
 pub use weak_cells::{ErrorProfile, WeakCellMap};

@@ -949,112 +949,6 @@ mod tests {
         assert_eq!(Kernel::Avx2.name(), "avx2");
     }
 
-    /// A small battery of adversarial lane values: specials, denormals,
-    /// signed zeros and ordinary magnitudes.
-    fn nasty_values() -> Vec<f32> {
-        vec![
-            0.0,
-            -0.0,
-            1.0,
-            -2.5,
-            0.75,
-            1.5e-41,  // denormal
-            -7.0e-42, // negative denormal
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            3.4e38,
-            -3.4e38,
-            9.0,
-            -65.0,
-        ]
-    }
-
-    /// Cyclic fill of `len` lanes from the nasty battery, phase-shifted by
-    /// `phase` so accumulators and weights disagree lane by lane.
-    fn nasty_lanes(len: usize, phase: usize) -> Vec<f32> {
-        let pool = nasty_values();
-        (0..len).map(|i| pool[(i + phase) % pool.len()]).collect()
-    }
-
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn kernels_agree_bitwise_on_every_tail_alignment() {
-        // Kernel-level equivalence across all `n % 8` tails, including
-        // lengths shorter than one vector. The full-pipeline sweep lives
-        // in tests/kernel_invariance.rs.
-        for kernel in Kernel::available() {
-            for len in 0..=19usize {
-                let drive0 = nasty_lanes(len, 3);
-                let row = nasty_lanes(len, 7);
-
-                let mut expect = drive0.clone();
-                scalar::accumulate_effective(&mut expect, &row, 1.0);
-                let mut got = drive0.clone();
-                kernel.accumulate_effective(&mut got, &row, 1.0);
-                assert_eq!(bits(&expect), bits(&got), "effective {kernel:?} len={len}");
-
-                let mut expect = drive0.clone();
-                scalar::accumulate_finite(&mut expect, &row);
-                let mut got = drive0.clone();
-                kernel.accumulate_finite(&mut got, &row);
-                assert_eq!(bits(&expect), bits(&got), "finite {kernel:?} len={len}");
-
-                let mut expect = drive0.clone();
-                scalar::inhibit_lanes(&mut expect, 12.5, -85.0);
-                let mut got = drive0;
-                kernel.inhibit_lanes(&mut got, 12.5, -85.0);
-                assert_eq!(bits(&expect), bits(&got), "inhibit {kernel:?} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn integrate_lanes_agrees_bitwise_with_scalar() {
-        let lif = LifConfig::default();
-        for kernel in Kernel::available() {
-            for len in 0..=19usize {
-                // Finite membrane state (as in real runs), drive may be
-                // anything the corrupted unclamped path can produce.
-                let v0: Vec<f32> = (0..len).map(|i| -66.0 + i as f32 * 1.75).collect();
-                let theta0: Vec<f32> = (0..len).map(|i| i as f32 * 0.05).collect();
-                let refr0: Vec<f32> = (0..len)
-                    .map(|i| if i % 3 == 0 { 4.0 } else { 0.0 })
-                    .collect();
-                let drive = nasty_lanes(len, 5);
-
-                let (mut v_a, mut t_a, mut r_a) = (v0.clone(), theta0.clone(), refr0.clone());
-                let mut c_a = vec![false; len];
-                let any_a = scalar::integrate_lanes(
-                    &lif, 1.0, &mut v_a, &mut t_a, &mut r_a, &drive, &mut c_a,
-                );
-
-                let (mut v_b, mut t_b, mut r_b) = (v0, theta0, refr0);
-                let mut c_b = vec![false; len];
-                let any_b = kernel.integrate_lanes(
-                    &lif,
-                    1.0,
-                    LifLanes {
-                        v: &mut v_b,
-                        theta: &mut t_b,
-                        refractory: &mut r_b,
-                        drive: &drive,
-                        crossed: &mut c_b,
-                    },
-                );
-
-                assert_eq!(any_a, any_b, "{kernel:?} len={len}");
-                assert_eq!(c_a, c_b, "{kernel:?} len={len}");
-                assert_eq!(bits(&v_a), bits(&v_b), "{kernel:?} len={len}");
-                assert_eq!(bits(&t_a), bits(&t_b), "{kernel:?} len={len}");
-                assert_eq!(bits(&r_a), bits(&r_b), "{kernel:?} len={len}");
-            }
-        }
-    }
-
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn sum_rows_rejects_a_row_past_the_matrix() {

@@ -16,16 +16,17 @@
 //!   first-class **injection target** alongside
 //!   [`StoredWeights`]: bit flips XOR the packed code in place
 //!   (`sparkxd-error` operates on [`payload_mut`](QuantizedImage::payload_mut)
-//!   at the native word width), and the corrupted image dequantises at
-//!   [`EffectivePlane`]-build time — codes → `f32` once per corruption
-//!   instance — so the hot loops stay untouched `f32` SoA.
+//!   at the native word width), and the corrupted image reads back through
+//!   [`dequantize`](QuantizedImage::dequantize) into a [`StoredWeights`]
+//!   that the network's weights are set from — codes → `f32` once per
+//!   corruption instance — so the hot loops stay untouched `f32` SoA.
 //!
 //! With `scale = w_max / max_code`, **every** representable code (hence
 //! every post-flip code) dequantises into `[0, w_max]`; the plane build
 //! still applies the ordinary effective-weight read rule so the quantised
 //! path shares one clamping story with the `f32` path.
 
-use crate::synapse::{EffectivePlane, StoredWeights};
+use crate::synapse::StoredWeights;
 
 /// Word width of the DRAM weight image.
 ///
@@ -260,16 +261,6 @@ impl QuantizedImage {
         StoredWeights::from_weights(self.inputs, self.neurons, self.w_max, w)
     }
 
-    /// Builds the read-side [`EffectivePlane`] directly from the codes —
-    /// dequantising each word exactly once — bit-for-bit identical to
-    /// `EffectivePlane::build(&self.dequantize(), clamp_reads)` without
-    /// materialising the intermediate `f32` image.
-    pub fn build_plane(&self, clamp_reads: bool) -> EffectivePlane {
-        EffectivePlane::build_from_fn(self.inputs, self.neurons, self.w_max, clamp_reads, |word| {
-            self.dequantized(word)
-        })
-    }
-
     /// Quantise-then-dequantise round trip: the `f32` image a network
     /// actually computes with when its weights are stored at `precision`.
     pub fn roundtrip(weights: &StoredWeights, precision: WeightPrecision) -> StoredWeights {
@@ -416,24 +407,6 @@ mod tests {
             q.set_code(0, code);
             let v = q.dequantized(0);
             assert!((0.0..=q.w_max()).contains(&v), "code {code} → {v}");
-        }
-    }
-
-    #[test]
-    fn build_plane_matches_dequantize_then_build() {
-        let w = StoredWeights::random(17, 9, 1.0, 11);
-        for p in WIDTHS {
-            let mut q = QuantizedImage::quantize(&w, p);
-            // Corrupt a few codes, including the max, to exercise the rule.
-            q.set_code(0, q.max_code());
-            q.set_code(5, 0);
-            for clamp in [true, false] {
-                assert_eq!(
-                    q.build_plane(clamp),
-                    EffectivePlane::build(&q.dequantize(), clamp),
-                    "{p} clamp={clamp}"
-                );
-            }
         }
     }
 

@@ -344,43 +344,6 @@ impl EffectivePlane {
         }
     }
 
-    /// Derives a plane from per-word stored values produced by
-    /// `stored_value` (flat row-major word index), applying the same read
-    /// rule and row-liveness summary as [`build`](Self::build). This is
-    /// how packed quantised images
-    /// ([`QuantizedImage`](crate::quant::QuantizedImage)) dequantise at
-    /// plane-build time without materialising an intermediate
-    /// [`StoredWeights`]: the result is bit-for-bit identical to building
-    /// from the dequantised store.
-    pub fn build_from_fn(
-        inputs: usize,
-        neurons: usize,
-        w_max: f32,
-        clamp_reads: bool,
-        mut stored_value: impl FnMut(usize) -> f32,
-    ) -> Self {
-        let mut plane = Self {
-            inputs,
-            neurons,
-            w_max,
-            clamp: clamp_reads,
-            values: vec![0.0; inputs * neurons],
-            row_live: vec![false; inputs],
-        };
-        for row in 0..inputs {
-            let dst = &mut plane.values[row * neurons..(row + 1) * neurons];
-            let mut live = false;
-            for (col, d) in dst.iter_mut().enumerate() {
-                let eff =
-                    Self::effective_read(stored_value(row * neurons + col), w_max, clamp_reads);
-                live |= eff != 0.0;
-                *d = eff;
-            }
-            plane.row_live[row] = live;
-        }
-        plane
-    }
-
     /// The read rule this plane was built with: non-finite → 0, then either
     /// clamped to `[0, w_max]` or passed through raw.
     #[inline]
@@ -661,24 +624,6 @@ mod tests {
         assert_eq!(raw.row(0), &[0.5, 0.0, 7.0]);
         assert_eq!(raw.row(1), &[-0.25, 0.0, 0.0]);
         assert!(raw.row_live(1), "unclamped negative keeps the row live");
-    }
-
-    #[test]
-    fn build_from_fn_matches_build() {
-        let stored = StoredWeights::from_weights(
-            2,
-            3,
-            1.0,
-            vec![0.5, f32::NAN, 7.0, -0.25, f32::INFINITY, 0.0],
-        );
-        for clamp in [true, false] {
-            let direct = EffectivePlane::build_from_fn(2, 3, 1.0, clamp, |i| stored.as_slice()[i]);
-            assert_eq!(
-                direct,
-                EffectivePlane::build(&stored, clamp),
-                "clamp={clamp}"
-            );
-        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ErrorModel::Model0,
         2,
         7,
+        WeightPrecision::Fp32,
     );
     let target = outcome.baseline_accuracy - 0.01;
     let ber_th = curve.max_tolerable_ber(target).unwrap_or(1e-9);

@@ -3,7 +3,7 @@
 //! bit through the whole engine, on the fixture, reference and checker in
 //! `invariance/mod.rs`. Below the engine, the sweeps prove every kernel
 //! entry point bit-identical to the portable kernel at every tail
-//! alignment, on NaN, ±Inf, denormal and signed-zero words, and the
+//! alignment, on NaN, ±Inf, denormal and signed-zero words, and the LIF,
 //! accumulate and inhibition entry points bit-identical to independent
 //! per-lane references.
 
@@ -265,9 +265,9 @@ fn issue_every_tail_alignment_is_bit_identical_across_kernels() {
 }
 
 // Both kernels compile the same portable body, so the sweeps above
-// compare one source with itself. The sweeps below hold the accumulate
-// and inhibition entry points of every kernel, the portable one
-// included, to an independent per-lane reference: the model's own
+// compare one source with itself. The sweeps below hold the LIF,
+// accumulate and inhibition entry points of every kernel, the portable
+// one included, to an independent per-lane reference: the model's own
 // definition, not the kernel body's vectorisable form.
 
 /// Calls `check(len, phase, kernel)` at every point of the tail-alignment
@@ -296,6 +296,55 @@ fn inhibit_lanes_matches_f32_max_per_lane() {
                 let what = format!("inhibit_lanes {kernel:?} len={len} phase={phase} floor={floor} strength={strength}");
                 assert_bits_eq(&got, &want, &what);
             }
+        }
+    });
+}
+
+#[test]
+fn integrate_lanes_matches_the_lif_update_per_lane() {
+    let lif = LifConfig::excitatory();
+    each_point(|len, phase, kernel| {
+        for dt_ms in [1.0, 0.5] {
+            let v0 = membrane_vec(len, phase);
+            let theta0 = nasty_vec(len, phase + 1);
+            // Refractory times: positive, zero, signed-zero, denormal and
+            // non-finite lanes.
+            let refractory0 = nasty_vec(len, phase + 2);
+            let drive = nasty_vec(len, phase + 9);
+            // The LIF update written out per lane, branch by branch.
+            let mut want = (v0.clone(), theta0.clone(), refractory0.clone());
+            let mut want_crossed = vec![false; len];
+            for j in 0..len {
+                let (v, theta, refractory) = (&mut want.0[j], &mut want.1[j], &mut want.2[j]);
+                *theta -= *theta * dt_ms / lif.tau_theta;
+                if *refractory > 0.0 {
+                    *refractory -= dt_ms;
+                    *v = lif.v_reset;
+                } else {
+                    *v += (lif.v_rest - *v) * dt_ms / lif.tau_membrane;
+                    *v += drive[j];
+                    want_crossed[j] = *v >= lif.v_thresh + *theta;
+                }
+            }
+            let (mut v, mut theta, mut refractory) = (v0, theta0, refractory0);
+            let mut crossed = vec![true; len];
+            let any = kernel.integrate_lanes(
+                &lif,
+                dt_ms,
+                LifLanes {
+                    v: &mut v,
+                    theta: &mut theta,
+                    refractory: &mut refractory,
+                    drive: &drive,
+                    crossed: &mut crossed,
+                },
+            );
+            let what = format!("integrate_lanes {kernel:?} len={len} phase={phase} dt={dt_ms}");
+            assert_bits_eq(&v, &want.0, &format!("{what} v"));
+            assert_bits_eq(&theta, &want.1, &format!("{what} theta"));
+            assert_bits_eq(&refractory, &want.2, &format!("{what} refractory"));
+            assert_eq!(crossed, want_crossed, "{what} crossed");
+            assert_eq!(any, want_crossed.contains(&true), "{what} any-crossed");
         }
     });
 }

@@ -107,3 +107,22 @@ fn requested_voltage_is_respected_when_tolerable() {
         assert_eq!(outcome.operating_voltage, Volt(1.025));
     }
 }
+
+#[test]
+fn out_of_range_scheduled_ber_is_an_error_not_a_panic() {
+    use sparkxd::core::CoreError;
+    use sparkxd::error::InjectError;
+    for bad in [2.0, -1e-3, f64::NAN] {
+        let mut config = PipelineConfig::small_demo(3);
+        // After a valid step: the check must come before that step trains.
+        config.training.ber_schedule = vec![1e-5, bad];
+        let result = std::panic::catch_unwind(|| SparkXdPipeline::new(config).run());
+        match result {
+            Ok(Err(CoreError::Inject(InjectError::InvalidBer(b)))) => {
+                assert_eq!(b.to_bits(), bad.to_bits(), "reports the bad rate {bad}");
+            }
+            Ok(other) => panic!("ber {bad}: expected InvalidBer, got {other:?}"),
+            Err(_) => panic!("ber {bad}: the pipeline panicked"),
+        }
+    }
+}

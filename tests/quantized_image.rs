@@ -1,11 +1,11 @@
 //! End-to-end properties of the packed quantised DRAM weight image:
-//! quantise → inject at the native word width → scrub-on-plane-build must
-//! be **bit-identical** to dequantising the corrupted image into a plain
-//! [`StoredWeights`] and building the plane from that — the packed read
-//! path is an encoding, never a semantic fork.
+//! quantise → inject at the native word width → dequantise. Whatever the
+//! flips do, the corrupted image reads back into the valid weight range,
+//! injection never changes the image's geometry, and a zero-BER pass is
+//! exactly the quantisation round trip.
 
 use proptest::prelude::*;
-use sparkxd::error::{ErrorModel, Injector};
+use sparkxd::error::{ErrorModel, Injector, WordImage};
 use sparkxd::snn::{EffectivePlane, QuantizedImage, StoredWeights, WeightPrecision};
 
 /// Weight words a trained store can plausibly hold, plus the corrupt
@@ -33,33 +33,14 @@ fn store(inputs: usize, neurons: usize, w_max: f32, phase: usize) -> StoredWeigh
     StoredWeights::from_weights(inputs, neurons, w_max, w)
 }
 
-fn assert_planes_bitwise_equal(got: &EffectivePlane, want: &EffectivePlane) {
-    assert_eq!(got.inputs(), want.inputs());
-    assert_eq!(got.neurons(), want.neurons());
-    for input in 0..got.inputs() {
-        assert_eq!(
-            got.row_live(input),
-            want.row_live(input),
-            "row {input} liveness"
-        );
-        for (j, (g, w)) in got.row(input).iter().zip(want.row(input)).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w.to_bits(),
-                "plane ({input}, {j}) diverged: {g:?} vs {w:?}"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole oracle: for any image shape, width, BER, error model
-    /// and clamp setting, corrupting the packed payload and building the
-    /// plane directly from the codes equals dequantise-then-build.
+    /// For any image shape, width, BER, error model and clamp setting,
+    /// the plane built from the corrupted packed image's read-back holds
+    /// only valid weights.
     #[test]
-    fn corrupted_packed_plane_matches_dequantize_then_build_oracle(
+    fn corrupted_packed_plane_stays_in_range(
         inputs in 1usize..9,
         neurons in 1usize..9,
         phase in 0usize..11,
@@ -87,17 +68,13 @@ proptest! {
         let mut image = QuantizedImage::quantize(&weights, precision);
         let word_bits = image.word_bits();
         let mut injector = Injector::new(model, seed);
-        injector.inject_uniform_packed(image.payload_mut(), word_bits, ber);
+        injector.inject_uniform(WordImage::packed(image.payload_mut(), word_bits), ber);
 
-        let direct = image.build_plane(clamp);
-        let oracle = EffectivePlane::build(&image.dequantize(), clamp);
-        assert_planes_bitwise_equal(&direct, &oracle);
-
-        // Whatever the flips did, every scrubbed read stays in the valid
-        // weight range: packed codes are unsigned, so dequantised words
-        // are finite and non-negative, and the clamp bounds them by w_max.
-        for input in 0..direct.inputs() {
-            for &v in direct.row(input) {
+        // Packed codes are unsigned, so dequantised words are finite and
+        // non-negative, and the clamp bounds them by w_max.
+        let plane = EffectivePlane::build(&image.dequantize(), clamp);
+        for input in 0..plane.inputs() {
+            for &v in plane.row(input) {
                 prop_assert!(v.is_finite() && v >= 0.0);
                 if clamp {
                     prop_assert!(v <= w_max);
@@ -129,7 +106,7 @@ proptest! {
         prop_assert_eq!(image.payload().len(), expected_bytes);
         let word_bits = image.word_bits();
         let mut injector = Injector::new(ErrorModel::Model0, seed);
-        injector.inject_uniform_packed(image.payload_mut(), word_bits, ber);
+        injector.inject_uniform(WordImage::packed(image.payload_mut(), word_bits), ber);
         prop_assert_eq!(image.dram_bytes(), expected_bytes);
         prop_assert_eq!(image.words(), inputs * neurons);
     }
@@ -143,11 +120,8 @@ fn zero_ber_image_is_the_clean_roundtrip() {
         let weights = store(7, 5, 1.0, 3);
         let mut image = QuantizedImage::quantize(&weights, precision);
         let word_bits = image.word_bits();
-        Injector::new(ErrorModel::Model0, 9).inject_uniform_packed(
-            image.payload_mut(),
-            word_bits,
-            0.0,
-        );
+        Injector::new(ErrorModel::Model0, 9)
+            .inject_uniform(WordImage::packed(image.payload_mut(), word_bits), 0.0);
         assert_eq!(
             image.dequantize().as_slice(),
             QuantizedImage::roundtrip(&weights, precision).as_slice()

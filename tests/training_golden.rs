@@ -26,7 +26,7 @@
 
 use sparkxd::circuit::Volt;
 use sparkxd::core::pipeline::{PipelineConfig, PipelineOutcome, SparkXdPipeline};
-use sparkxd::core::tolerance::analyze_tolerance_quantized;
+use sparkxd::core::tolerance::analyze_tolerance;
 use sparkxd::core::TierBuilder;
 use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::error::ErrorModel;
@@ -253,7 +253,7 @@ fn int16_tolerance_curve_is_pinned() {
     let (cfg, mut net, test) = tiny_trained(9);
     let train = cfg.dataset.generate(cfg.train_samples, cfg.data_seed);
     let labeler = net.label_neurons(&train, 6);
-    let curve = analyze_tolerance_quantized(
+    let curve = analyze_tolerance(
         &mut net,
         &labeler,
         &test,
