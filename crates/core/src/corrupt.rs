@@ -30,6 +30,7 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
+    /// Scratch shaped for `net`'s weights.
     pub(crate) fn for_net(net: &DiehlCookNetwork) -> Self {
         let (words, touched) = (net.weights().clone(), Vec::new());
         Self { words, touched }
@@ -100,7 +101,6 @@ pub(crate) fn corrupted(
 /// injections from `injector` into `net`'s DRAM image. Each trial swaps
 /// only the rows it touched into the network and back out, and `net`
 /// holds its own weights again on return.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn mean_accuracy(
     net: &mut DiehlCookNetwork,
     precision: WeightPrecision,

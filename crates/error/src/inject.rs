@@ -107,7 +107,8 @@ impl<'a> WordImage<'a> {
         Self::Packed { payload, word_bits }
     }
 
-    /// Checks a packed image's width and length; panics on either.
+    /// Panics unless a packed image is 8, 16 or 32 bits wide and its
+    /// payload a whole number of words.
     fn checked(self) -> Self {
         if let Self::Packed { payload, word_bits } = &self {
             assert!(
