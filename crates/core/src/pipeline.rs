@@ -208,10 +208,13 @@ impl SparkXdPipeline {
     ///
     /// # Errors
     ///
+    /// [`CoreError::Inject`] with `InvalidBer` if a scheduled rate is
+    /// outside `[0, 0.5]` (NaN included), before any stage runs;
     /// [`CoreError::InsufficientSafeCapacity`] if the device's safe
     /// subarrays cannot hold the model at the operating voltage, and any
     /// error propagated from the substrates.
     pub fn run(&self) -> Result<PipelineOutcome, CoreError> {
+        FaultAwareTrainer::check_schedule(&self.config.training)?;
         // Observation-only spans: one per named stage, so a `spans`-mode
         // run shows where pipeline wall time goes. Durations never feed
         // back into any stage decision (the bit-identity contract).

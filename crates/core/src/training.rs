@@ -12,7 +12,7 @@ use crate::corrupt::{self, Errors, Scratch};
 use crate::CoreError;
 use sparkxd_data::Dataset;
 use sparkxd_error::{ErrorModel, InjectError, Injector};
-use sparkxd_snn::{DiehlCookNetwork, NeuronLabeler, WeightPrecision};
+use sparkxd_snn::{BatchEvaluator, DiehlCookNetwork, DrawnSpikes, NeuronLabeler, WeightPrecision};
 
 /// Configuration of the fault-aware training loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,21 +117,22 @@ impl FaultAwareTrainer {
         seed: u64,
     ) -> f64 {
         let mut scratch = Scratch::for_net(net);
-        self.accuracy_under_errors_in(net, labeler, test, ber, trials, seed, &mut scratch)
+        self.accuracy_under_errors_in(net, ber, trials, seed, &mut scratch, |net, trial| {
+            net.evaluate(test, labeler, self.trial_seed(trial))
+        })
     }
 
     /// [`accuracy_under_errors`](Self::accuracy_under_errors) on
-    /// caller-owned scratch, so repeated calls allocate nothing.
-    #[allow(clippy::too_many_arguments)]
+    /// caller-owned scratch, so repeated calls allocate nothing, scoring
+    /// trial `t` with `evaluate(net, t)`.
     fn accuracy_under_errors_in(
         &self,
         net: &mut DiehlCookNetwork,
-        labeler: &NeuronLabeler,
-        test: &Dataset,
         ber: f64,
         trials: usize,
         seed: u64,
         scratch: &mut Scratch,
+        evaluate: impl FnMut(&DiehlCookNetwork, usize) -> f64,
     ) -> f64 {
         corrupt::mean_accuracy(
             net,
@@ -140,9 +141,26 @@ impl FaultAwareTrainer {
             Injector::new(self.config.error_model, seed),
             Errors::Uniform(ber),
             trials,
-            |net, trial| net.evaluate(test, labeler, self.config.spike_seed ^ (trial as u64) << 32),
+            evaluate,
         )
         .expect("uniform injection cannot fail")
+    }
+
+    /// The spike seed of error trial `trial`'s test evaluation.
+    fn trial_seed(&self, trial: usize) -> u64 {
+        self.config.spike_seed ^ (trial as u64) << 32
+    }
+
+    /// Checks that every scheduled rate lies in `[0, 0.5]` (NaN fails).
+    pub(crate) fn check_schedule(config: &TrainingConfig) -> Result<(), CoreError> {
+        match config
+            .ber_schedule
+            .iter()
+            .find(|b| !(0.0..=0.5).contains(*b))
+        {
+            Some(&ber) => Err(CoreError::Inject(InjectError::InvalidBer(ber))),
+            None => Ok(()),
+        }
     }
 
     /// Improves and analyses the error tolerance of `net` (Algorithm 1).
@@ -170,6 +188,14 @@ impl FaultAwareTrainer {
     /// at most three are live (one under evaluation, the best so far and
     /// one spare), and a winning snapshot moves into the best slot.
     ///
+    /// Every checkpoint is labelled on the same spike trains of the
+    /// training set, and every step scores its error trials on the same
+    /// trains of the test set, because a spike train depends on the
+    /// sample and seed, not on the model. Those sets are drawn once, up
+    /// front, across the thread budget ([`DrawnSpikes`]), and dropped on
+    /// return; each evaluation reads them instead of drawing again, with
+    /// the same results.
+    ///
     /// # Errors
     ///
     /// [`CoreError::Inject`] with [`InjectError::InvalidBer`] if a
@@ -182,9 +208,8 @@ impl FaultAwareTrainer {
         test: &Dataset,
     ) -> Result<FaultAwareOutcome, CoreError> {
         let cfg = &self.config;
-        if let Some(&ber) = cfg.ber_schedule.iter().find(|b| !(0.0..=0.5).contains(*b)) {
-            return Err(CoreError::Inject(InjectError::InvalidBer(ber)));
-        }
+        Self::check_schedule(cfg)?;
+        let spikes = EvalSpikes::draw(self, net, train, test);
         let mut injector = Injector::new(cfg.error_model, cfg.injection_seed);
         let mut tally = Tally {
             accuracy_bound: cfg.accuracy_bound,
@@ -205,14 +230,14 @@ impl FaultAwareTrainer {
             };
             let (labeler, accuracy) = self.adapt(net, &mut injector, train, step, ber, || {
                 let _span = sparkxd_telemetry::span!("fat.step_eval");
-                self.measure(&mut snapshot, &mut scratch, train, test, pending)
+                self.measure(&mut snapshot, &mut scratch, &spikes, train, test, pending)
             });
             spare = tally.record(pending, accuracy, labeler, Some(snapshot));
             pending = Checkpoint::Step { index: step, ber };
         }
         drop(spare);
         // The last checkpoint is the trained network itself.
-        let (labeler, accuracy) = self.measure(net, &mut scratch, train, test, pending);
+        let (labeler, accuracy) = self.measure(net, &mut scratch, &spikes, train, test, pending);
         tally.record(pending, accuracy, labeler, None);
 
         let Tally {
@@ -228,8 +253,9 @@ impl FaultAwareTrainer {
                 }
                 (Some(ber), labeler)
             }
-            None => (None, net.label_neurons(train, cfg.spike_seed ^ 0xABCD)),
+            None => (None, spikes.label(net, train)),
         };
+        drop(spikes);
         let improved_clean_accuracy = net.evaluate(test, &labeler, cfg.spike_seed ^ 0xEF01);
         Ok(FaultAwareOutcome {
             baseline_accuracy,
@@ -275,25 +301,69 @@ impl FaultAwareTrainer {
         &self,
         model: &mut DiehlCookNetwork,
         scratch: &mut Scratch,
+        spikes: &EvalSpikes,
         train: &Dataset,
         test: &Dataset,
         at: Checkpoint,
     ) -> (NeuronLabeler, f64) {
         let cfg = &self.config;
-        let labeler = model.label_neurons(train, cfg.spike_seed ^ 0xABCD);
+        let labeler = spikes.label(model, train);
         let accuracy = match at {
             Checkpoint::Baseline => model.evaluate(test, &labeler, cfg.spike_seed ^ 0xEF01),
             Checkpoint::Step { index, ber } => self.accuracy_under_errors_in(
                 model,
-                &labeler,
-                test,
                 ber,
                 cfg.eval_trials,
                 cfg.injection_seed ^ (index as u64) << 16,
                 scratch,
+                |net, trial| {
+                    BatchEvaluator::from_env().evaluate_drawn(
+                        net.params(),
+                        test,
+                        &labeler,
+                        &spikes.trials[trial],
+                    )
+                },
             ),
         };
         (labeler, accuracy)
+    }
+}
+
+/// The spike trains Algorithm 1 presents at every checkpoint: the
+/// training set under the labelling seed, and the test set under each
+/// error trial's seed (none without a scheduled step).
+struct EvalSpikes {
+    label: DrawnSpikes,
+    trials: Vec<DrawnSpikes>,
+}
+
+impl EvalSpikes {
+    fn draw(
+        trainer: &FaultAwareTrainer,
+        net: &DiehlCookNetwork,
+        train: &Dataset,
+        test: &Dataset,
+    ) -> Self {
+        let cfg = &trainer.config;
+        let config = net.config();
+        let trials = if cfg.ber_schedule.is_empty() {
+            0
+        } else {
+            cfg.eval_trials.max(1)
+        };
+        Self {
+            label: DrawnSpikes::draw(config, train, cfg.spike_seed ^ 0xABCD),
+            trials: (0..trials)
+                .map(|trial| DrawnSpikes::draw(config, test, trainer.trial_seed(trial)))
+                .collect(),
+        }
+    }
+
+    /// `model`'s neuron labels from the training set: `label_neurons` at
+    /// the labelling seed.
+    fn label(&self, model: &DiehlCookNetwork, train: &Dataset) -> NeuronLabeler {
+        BatchEvaluator::from_env().label_neurons_drawn(model.params(), train, &self.label)
     }
 }
 

@@ -19,7 +19,11 @@
 //!
 //! The spike-train RNG for sample `i` is derived from `(seed, i)`, so the
 //! result is bit-identical to `run_sample` for **any** worker count,
-//! batch size, tile width, job count and kernel.
+//! batch size, tile width, job count and kernel. The trains depend on the
+//! sample and seed, not on the model, so a caller that evaluates many
+//! models on one set can draw them once ([`DrawnSpikes`]) and pass them
+//! to [`BatchEvaluator::label_neurons_drawn`] and
+//! [`BatchEvaluator::evaluate_drawn`], with the same results.
 //!
 //! Beyond data parallelism, [`join`] runs two independent closures at
 //! once — the caller takes one, a pool helper the other. Fault-aware
@@ -59,6 +63,7 @@
 //! — see the [`crate::kernels`] module docs for the full argument and
 //! the `tests/*_invariance.rs` suites for the proof battery.
 
+use crate::drawn::DrawnSpikes;
 use crate::eval::NeuronLabeler;
 use crate::kernels::{Kernel, KernelChoice};
 use crate::network::{BatchState, NetworkParams};
@@ -855,6 +860,15 @@ pub struct BatchEvaluator {
     intra: Option<IntraChoice>,
 }
 
+/// Where an evaluation's spike trains come from.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// Drawn live from the per-sample streams of this seed.
+    Live(u64),
+    /// Read from a set drawn beforehand.
+    Drawn(&'a DrawnSpikes),
+}
+
 /// One resolved `(batch, tile, kernel, intra)` execution point, handed
 /// intact to every shard of a parallel run.
 #[derive(Debug, Clone, Copy)]
@@ -955,7 +969,7 @@ impl BatchEvaluator {
     fn run_range(
         params: &NetworkParams,
         dataset: &Dataset,
-        seed: u64,
+        source: Source<'_>,
         range: Range<usize>,
         plan: ExecPlan,
         mut sink: impl FnMut(usize, Vec<u32>),
@@ -979,11 +993,21 @@ impl BatchEvaluator {
         let mut start = range.start;
         while start < range.end {
             let end = (start + batch).min(range.end);
-            let pixels: Vec<&[f32]> = (start..end).map(|i| dataset.get(i).0.pixels()).collect();
-            let mut rngs: Vec<StdRng> = (start..end).map(|i| sample_rng(seed, i as u64)).collect();
-            let counts = params
-                .run_batch(&mut state, &pixels, &mut rngs)
-                .expect("dataset image matches configured input size");
+            let counts = match source {
+                Source::Live(seed) => {
+                    let pixels: Vec<&[f32]> =
+                        (start..end).map(|i| dataset.get(i).0.pixels()).collect();
+                    let mut rngs: Vec<StdRng> =
+                        (start..end).map(|i| sample_rng(seed, i as u64)).collect();
+                    params
+                        .run_batch(&mut state, &pixels, &mut rngs)
+                        .expect("dataset image matches configured input size")
+                }
+                Source::Drawn(set) => {
+                    let trains: Vec<&[u8]> = (start..end).map(|i| set.sample(i)).collect();
+                    params.run_batch_drawn(&mut state, &trains)
+                }
+            };
             for (offset, sample_counts) in counts.into_iter().enumerate() {
                 sink(start + offset, sample_counts);
             }
@@ -1003,9 +1027,14 @@ impl BatchEvaluator {
         let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
         let per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
             let mut out = Vec::with_capacity(range.len());
-            Self::run_range(params, dataset, seed, range.clone(), plan, |_, counts| {
-                out.push(counts)
-            });
+            Self::run_range(
+                params,
+                dataset,
+                Source::Live(seed),
+                range.clone(),
+                plan,
+                |_, counts| out.push(counts),
+            );
             out
         });
         per_chunk.into_iter().flatten().collect()
@@ -1020,6 +1049,34 @@ impl BatchEvaluator {
         labeler: &NeuronLabeler,
         seed: u64,
     ) -> f64 {
+        self.evaluate_from(params, dataset, labeler, Source::Live(seed))
+    }
+
+    /// [`evaluate`](Self::evaluate) on spike trains drawn beforehand:
+    /// bit-identical to `evaluate` at the seed `spikes` was drawn under.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `spikes` was drawn from `dataset` for `params`'s
+    /// encoder, presentation length and input width.
+    pub fn evaluate_drawn(
+        &self,
+        params: &NetworkParams,
+        dataset: &Dataset,
+        labeler: &NeuronLabeler,
+        spikes: &DrawnSpikes,
+    ) -> f64 {
+        spikes.check_matches(params.config(), dataset);
+        self.evaluate_from(params, dataset, labeler, Source::Drawn(spikes))
+    }
+
+    fn evaluate_from(
+        &self,
+        params: &NetworkParams,
+        dataset: &Dataset,
+        labeler: &NeuronLabeler,
+        source: Source<'_>,
+    ) -> f64 {
         if dataset.is_empty() {
             return 0.0;
         }
@@ -1027,12 +1084,19 @@ impl BatchEvaluator {
         let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
         let correct_per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
             let mut correct = 0usize;
-            Self::run_range(params, dataset, seed, range.clone(), plan, |idx, counts| {
-                let (_, label) = dataset.get(idx);
-                if labeler.predict(&counts) == Some(label) {
-                    correct += 1;
-                }
-            });
+            Self::run_range(
+                params,
+                dataset,
+                source,
+                range.clone(),
+                plan,
+                |idx, counts| {
+                    let (_, label) = dataset.get(idx);
+                    if labeler.predict(&counts) == Some(label) {
+                        correct += 1;
+                    }
+                },
+            );
             correct
         });
         correct_per_chunk.iter().sum::<usize>() as f64 / dataset.len() as f64
@@ -1047,17 +1111,50 @@ impl BatchEvaluator {
         dataset: &Dataset,
         seed: u64,
     ) -> NeuronLabeler {
+        self.label_neurons_from(params, dataset, Source::Live(seed))
+    }
+
+    /// [`label_neurons`](Self::label_neurons) on spike trains drawn
+    /// beforehand: the same labels as `label_neurons` at the seed
+    /// `spikes` was drawn under.
+    ///
+    /// # Panics
+    ///
+    /// As [`evaluate_drawn`](Self::evaluate_drawn).
+    pub fn label_neurons_drawn(
+        &self,
+        params: &NetworkParams,
+        dataset: &Dataset,
+        spikes: &DrawnSpikes,
+    ) -> NeuronLabeler {
+        spikes.check_matches(params.config(), dataset);
+        self.label_neurons_from(params, dataset, Source::Drawn(spikes))
+    }
+
+    fn label_neurons_from(
+        &self,
+        params: &NetworkParams,
+        dataset: &Dataset,
+        source: Source<'_>,
+    ) -> NeuronLabeler {
         let n_neurons = params.config().n_neurons;
         let plan = self.exec_plan();
         let chunks = chunk_ranges(dataset.len(), self.threads_for(dataset.len()));
         let per_chunk = parallel_map(&chunks, chunks.len(), |_, range| {
             let mut response = vec![[0u64; 10]; n_neurons];
-            Self::run_range(params, dataset, seed, range.clone(), plan, |idx, counts| {
-                let (_, label) = dataset.get(idx);
-                for (j, &c) in counts.iter().enumerate() {
-                    response[j][label as usize] += c as u64;
-                }
-            });
+            Self::run_range(
+                params,
+                dataset,
+                source,
+                range.clone(),
+                plan,
+                |idx, counts| {
+                    let (_, label) = dataset.get(idx);
+                    for (j, &c) in counts.iter().enumerate() {
+                        response[j][label as usize] += c as u64;
+                    }
+                },
+            );
             response
         });
         let mut merged = vec![[0u64; 10]; n_neurons];

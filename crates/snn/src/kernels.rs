@@ -1,18 +1,23 @@
 //! Runtime-dispatched SIMD kernels for the hot inner loops of inference
 //! and of STDP training:
 //!
-//! * inference: the batched engine's per-sample row sums
-//!   ([`Kernel::sum_rows`], each drive lane summed over the sample's
-//!   active rows in registers and stored once), the reference path's
-//!   row-at-a-time drive accumulation (both the `clamp_reads`
-//!   effective-weight transform and the finite-filter path), the
-//!   branch-free LIF lane update, and the lateral-inhibition sweep;
-//! * training (`DiehlCookNetwork::train_epoch`): the fused depression +
-//!   drive row pass ([`Kernel::depress_accumulate`]), the potentiation
-//!   column walk ([`Kernel::potentiate_column`]) and the two sweeps of
-//!   column normalisation ([`Kernel::accumulate_effective`] for the column
-//!   sums, [`Kernel::rescale_effective`] for the scale pass), each with a
-//!   clean-store variant (see below).
+//! * the one drive kernel of both: per-sample row sums
+//!   ([`Kernel::sum_rows`], each drive lane summed over the active rows
+//!   in registers and stored once). The batched engine's tile sweep sums
+//!   the effective plane's rows with it, and clean-store training sums
+//!   the depressed store rows with it (the sparse depression itself,
+//!   which rewrites only the live post lanes of each active row, is a
+//!   scalar loop in [`StdpState`](crate::stdp::StdpState));
+//! * inference: the reference path's row-at-a-time drive accumulation
+//!   (both the `clamp_reads` effective-weight transform and the
+//!   finite-filter path), the branch-free LIF lane update, and the
+//!   lateral-inhibition sweep;
+//! * training (`DiehlCookNetwork::train_epoch`): the dirty-store fused
+//!   depression + drive row pass ([`Kernel::depress_accumulate`]), the
+//!   potentiation column walk ([`Kernel::potentiate_column`]) and the two
+//!   sweeps of column normalisation ([`Kernel::accumulate_effective`] for
+//!   the column sums, [`Kernel::rescale_effective`] for the scale pass),
+//!   the last three with clean-store variants (see below).
 //!
 //! # Clean-store training kernels
 //!
@@ -23,11 +28,13 @@
 //! `w >= 0.0 && w <= w_max`: such a word is finite, and the read rule
 //! returns it bit for bit (`-0.0` included, since `-0.0 < 0.0` is false).
 //! So on a clean store the read rule can be dropped without changing a
-//! bit: [`Kernel::depress_accumulate_clean`], [`Kernel::accumulate_clean`],
-//! [`Kernel::rescale_clean`] and [`Kernel::potentiate_column_clean`] are
-//! the generic passes with the read rule replaced by the identity (and
-//! the rescale pass without its dead-column select, which it may only
-//! skip when no scale is NaN).
+//! bit: [`Kernel::accumulate_clean`], [`Kernel::rescale_clean`] and
+//! [`Kernel::potentiate_column_clean`] are the generic passes with the
+//! read rule replaced by the identity (and the rescale pass without its
+//! dead-column select, which it may only skip when no scale is NaN).
+//! [`Kernel::rescale_sum_clean`] fuses the clean scale pass with the
+//! next normalisation's column sums, so a clean epoch sums the store in
+//! full once and afterwards re-sums only the columns a sample wrote.
 //!
 //! A clean store stays clean: depression, potentiation and rescaling all
 //! clamp their finite results into `[0, w_max]`, and a dead column keeps
@@ -246,7 +253,10 @@ impl Kernel {
     ///
     /// The batched tile sweep calls this per sample with the sample's
     /// live active rows of the [`EffectivePlane`](crate::synapse::EffectivePlane)
-    /// (`stride` = neurons, `offset` = the tile's first lane).
+    /// (`stride` = neurons, `offset` = the tile's first lane), and
+    /// clean-store training per timestep with the depressed store rows
+    /// (`offset` 0, every lane). Each row is prefetched two register
+    /// blocks ahead, only inside its own slice; the hint moves no bit.
     ///
     /// # Panics
     ///
@@ -298,8 +308,10 @@ impl Kernel {
         scalar::accumulate_finite(drive, row);
     }
 
-    /// The fused STDP depression + drive row pass of training: rewrites
-    /// every lane of one active input's fan-out `row` to
+    /// The fused STDP depression + drive row pass of training on a dirty
+    /// store (clean-store training rewrites only the live lanes and sums
+    /// the rows with [`sum_rows`](Self::sum_rows)): rewrites every lane
+    /// of one active input's fan-out `row` to
     /// `w' = (StoredWeights::effective(w, w_max) - lr * trace_post[j]).clamp(0.0, w_max)`
     /// and adds `w'` into `drive[j]` in the same pass.
     ///
@@ -320,37 +332,6 @@ impl Kernel {
         w_max: f32,
         drive: &mut [f32],
     ) {
-        self.depress::<false>(row, trace_post, lr, w_max, drive);
-    }
-
-    /// [`depress_accumulate`](Self::depress_accumulate) on a *clean* row
-    /// (every word `w >= 0.0 && w <= w_max`, where the read rule is the
-    /// identity): `w' = (w - lr * trace_post[j]).clamp(0.0, w_max)`.
-    /// Bit-identical to the generic pass on a clean row; on any other row
-    /// the result is unspecified.
-    ///
-    /// # Panics
-    ///
-    /// As [`depress_accumulate`](Self::depress_accumulate).
-    pub fn depress_accumulate_clean(
-        self,
-        row: &mut [f32],
-        trace_post: &[f32],
-        lr: f32,
-        w_max: f32,
-        drive: &mut [f32],
-    ) {
-        self.depress::<true>(row, trace_post, lr, w_max, drive);
-    }
-
-    fn depress<const CLEAN: bool>(
-        self,
-        row: &mut [f32],
-        trace_post: &[f32],
-        lr: f32,
-        w_max: f32,
-        drive: &mut [f32],
-    ) {
         assert!(
             trace_post.len() == row.len() && drive.len() == row.len(),
             "depression row, post traces and drive must have matching lengths"
@@ -358,10 +339,10 @@ impl Kernel {
         #[cfg(target_arch = "x86_64")]
         if self.run_avx2() {
             // SAFETY: AVX2 presence verified at runtime just above.
-            unsafe { avx2::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive) };
+            unsafe { avx2::depress_accumulate(row, trace_post, lr, w_max, drive) };
             return;
         }
-        scalar::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive);
+        scalar::depress_accumulate(row, trace_post, lr, w_max, drive);
     }
 
     /// The column-sum pass of normalisation over one *clean* row:
@@ -407,6 +388,31 @@ impl Kernel {
     /// As [`rescale_effective`](Self::rescale_effective).
     pub fn rescale_clean(self, row: &mut [f32], scales: &[f32], w_max: f32) {
         self.rescale::<true>(row, scales, w_max);
+    }
+
+    /// [`rescale_clean`](Self::rescale_clean) fused with the next column
+    /// sums: rewrites `row[j] = (row[j] * scales[j]).clamp(0.0, w_max)` and
+    /// adds the rewritten word into `sums[j]` in the same pass. Over every
+    /// row of a store in ascending order onto zeroed sums, that is the
+    /// rescale pass followed by the [`accumulate_clean`](Self::accumulate_clean)
+    /// column sums of the rescaled store, bit for bit, with one pass over
+    /// the words instead of two. Same preconditions as `rescale_clean`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row`, `scales` and `sums` have different lengths.
+    pub fn rescale_sum_clean(self, row: &mut [f32], scales: &[f32], w_max: f32, sums: &mut [f32]) {
+        assert!(
+            scales.len() == row.len() && sums.len() == row.len(),
+            "row, scales and sums must have matching lengths"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if self.run_avx2() {
+            // SAFETY: AVX2 presence verified at runtime just above.
+            unsafe { avx2::rescale_sum_clean(row, scales, w_max, sums) };
+            return;
+        }
+        scalar::rescale_sum_clean(row, scales, w_max, sums);
     }
 
     fn rescale<const CLEAN: bool>(self, row: &mut [f32], scales: &[f32], w_max: f32) {
@@ -606,6 +612,11 @@ mod scalar {
     /// Lanes per register block of the row sums.
     const SUM_BLOCK: usize = 32;
 
+    /// How far ahead, in lanes, the row sums prefetch each row: two
+    /// register blocks, so a row's next lines arrive while this block and
+    /// the next are summed.
+    const SUM_AHEAD: usize = 2 * SUM_BLOCK;
+
     /// # Safety
     ///
     /// Every row slice `[r * stride + offset, .. + drive.len())` must lie
@@ -618,44 +629,56 @@ mod scalar {
         offset: usize,
         rows: &[usize],
     ) {
+        let len = drive.len();
         let mut blocks = drive.chunks_exact_mut(SUM_BLOCK);
         let mut c = 0;
         for block in &mut blocks {
-            sum_block::<SUM_BLOCK>(block, matrix, stride, offset + c, rows);
+            // Prefetch only lanes of the rows' own slices.
+            let ahead = if c + SUM_AHEAD < len { SUM_AHEAD } else { 0 };
+            sum_block::<SUM_BLOCK>(block, matrix, stride, offset + c, ahead, rows);
             c += SUM_BLOCK;
         }
         let rest = blocks.into_remainder();
         let mut blocks = rest.chunks_exact_mut(8);
         for block in &mut blocks {
-            sum_block::<8>(block, matrix, stride, offset + c, rows);
+            sum_block::<8>(block, matrix, stride, offset + c, 0, rows);
             c += 8;
         }
         for lane in blocks.into_remainder() {
-            sum_block::<1>(slice::from_mut(lane), matrix, stride, offset + c, rows);
+            sum_block::<1>(slice::from_mut(lane), matrix, stride, offset + c, 0, rows);
             c += 1;
         }
     }
 
     /// `W` lanes of [`sum_rows`], starting at column `base` of each row:
     /// the accumulators are a fixed-size array the compiler keeps in
-    /// registers.
+    /// registers. A non-zero `ahead` also prefetches lane `base + ahead`
+    /// of each row.
     ///
     /// # Safety
     ///
     /// `[r * stride + base, .. + W)` must lie inside `matrix` for every
-    /// row `r`.
+    /// row `r`, and so must lane `r * stride + base + ahead` when `ahead`
+    /// is non-zero.
     #[inline(always)]
     unsafe fn sum_block<const W: usize>(
         drive: &mut [f32],
         matrix: &[f32],
         stride: usize,
         base: usize,
+        ahead: usize,
         rows: &[usize],
     ) {
         let mut acc = [0.0f32; W];
         for &r in rows {
+            let start = r * stride + base;
+            if ahead != 0 {
+                // SAFETY: the caller guarantees lane `start + ahead` lies
+                // in `matrix`.
+                super::prefetch(unsafe { &*matrix.as_ptr().add(start + ahead) });
+            }
             // SAFETY: the caller guarantees the `W` lanes lie in `matrix`.
-            let row = unsafe { &*matrix.as_ptr().add(r * stride + base).cast::<[f32; W]>() };
+            let row = unsafe { &*matrix.as_ptr().add(start).cast::<[f32; W]>() };
             for (a, &w) in acc.iter_mut().zip(row) {
                 *a += w;
             }
@@ -679,10 +702,10 @@ mod scalar {
         }
     }
 
-    // The training passes are generic over `CLEAN`: the generic pass
-    // (`false`) reads every word through `StoredWeights::effective`; the
-    // clean pass (`true`) reads it raw, which is the same value bit for
-    // bit when the word is clean.
+    // The rescale and potentiation passes are generic over `CLEAN`: the
+    // generic pass (`false`) reads every word through
+    // `StoredWeights::effective`; the clean pass (`true`) reads it raw,
+    // which is the same value bit for bit when the word is clean.
 
     /// The read rule of a training pass: identity on a clean store.
     #[inline(always)]
@@ -695,7 +718,7 @@ mod scalar {
     }
 
     #[inline(always)]
-    pub(super) fn depress_accumulate<const CLEAN: bool>(
+    pub(super) fn depress_accumulate(
         row: &mut [f32],
         trace_post: &[f32],
         lr: f32,
@@ -703,7 +726,7 @@ mod scalar {
         drive: &mut [f32],
     ) {
         for ((w, &post), d) in row.iter_mut().zip(trace_post).zip(drive.iter_mut()) {
-            let depressed = (read::<CLEAN>(*w, w_max) - lr * post).clamp(0.0, w_max);
+            let depressed = (StoredWeights::effective(*w, w_max) - lr * post).clamp(0.0, w_max);
             *w = depressed;
             *d += depressed;
         }
@@ -713,6 +736,15 @@ mod scalar {
     pub(super) fn accumulate_clean(sums: &mut [f32], row: &[f32]) {
         for (s, &w) in sums.iter_mut().zip(row) {
             *s += w;
+        }
+    }
+
+    #[inline(always)]
+    pub(super) fn rescale_sum_clean(row: &mut [f32], scales: &[f32], w_max: f32, sums: &mut [f32]) {
+        for ((w, &scale), s) in row.iter_mut().zip(scales).zip(sums.iter_mut()) {
+            let scaled = (*w * scale).clamp(0.0, w_max);
+            *w = scaled;
+            *s += scaled;
         }
     }
 
@@ -850,19 +882,24 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn depress_accumulate<const CLEAN: bool>(
+    pub(super) fn depress_accumulate(
         row: &mut [f32],
         trace_post: &[f32],
         lr: f32,
         w_max: f32,
         drive: &mut [f32],
     ) {
-        scalar::depress_accumulate::<CLEAN>(row, trace_post, lr, w_max, drive);
+        scalar::depress_accumulate(row, trace_post, lr, w_max, drive);
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn accumulate_clean(sums: &mut [f32], row: &[f32]) {
         scalar::accumulate_clean(sums, row);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn rescale_sum_clean(row: &mut [f32], scales: &[f32], w_max: f32, sums: &mut [f32]) {
+        scalar::rescale_sum_clean(row, scales, w_max, sums);
     }
 
     #[target_feature(enable = "avx2")]

@@ -50,6 +50,7 @@
 //! ```
 
 pub mod coding;
+mod drawn;
 pub mod engine;
 pub mod eval;
 mod feed;
@@ -62,6 +63,7 @@ pub mod stdp;
 pub mod synapse;
 
 pub use coding::PoissonEncoder;
+pub use drawn::DrawnSpikes;
 pub use engine::{BatchEvaluator, IntraChoice, WorkerPool};
 pub use eval::{ClassVotes, NeuronLabeler};
 pub use kernels::{Kernel, KernelChoice};

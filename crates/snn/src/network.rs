@@ -54,7 +54,7 @@ use crate::feed::{CloseOnDrop, Feed, SpikeTrain};
 use crate::kernels::{Kernel, KernelChoice, LifLanes};
 use crate::neuron::LifConfig;
 use crate::stdp::{StdpConfig, StdpState};
-use crate::synapse::{EffectivePlane, StoredWeights};
+use crate::synapse::{ColumnNorm, EffectivePlane, StoredWeights};
 use crate::SnnError;
 use rand::rngs::StdRng;
 use sparkxd_data::Dataset;
@@ -370,11 +370,34 @@ impl NetworkParams {
         for pixels in samples {
             check_input_size(&self.config, pixels)?;
         }
-        let b_count = samples.len();
+        Ok(self.present(state, Spikes::Live { samples, rngs }))
+    }
+
+    /// [`run_batch`](Self::run_batch) on spike trains drawn beforehand
+    /// ([`DrawnSpikes`](crate::DrawnSpikes)), one gap-coded train per
+    /// sample: the same counts as drawing them live from the same
+    /// streams. Counted in `engine.drawn_samples`.
+    pub(crate) fn run_batch_drawn(
+        &self,
+        state: &mut BatchState,
+        trains: &[&[u8]],
+    ) -> Vec<Vec<u32>> {
+        sparkxd_telemetry::counter_add!("engine.drawn_samples", trains.len());
+        self.present(state, Spikes::Drawn(trains))
+    }
+
+    /// The one presentation loop behind [`run_batch`](Self::run_batch)
+    /// and [`run_batch_drawn`](Self::run_batch_drawn); they differ only
+    /// in where each timestep's active lines come from.
+    fn present(&self, state: &mut BatchState, mut spikes: Spikes<'_>) -> Vec<Vec<u32>> {
+        let b_count = match &spikes {
+            Spikes::Live { samples, .. } => samples.len(),
+            Spikes::Drawn(trains) => trains.len(),
+        };
         let n = self.config.n_neurons;
         let mut counts = vec![vec![0u32; n]; b_count];
         if b_count == 0 {
-            return Ok(counts);
+            return counts;
         }
         state.begin_batch(&self.config, &self.thetas, b_count);
         let tile = state
@@ -411,16 +434,21 @@ impl NetworkParams {
         // A dead row keeps its draw, so every stream stays aligned with
         // `run_sample`, but a zero threshold never accepts it: its zeros
         // would change no drive bit, so it is filtered here once instead
-        // of on every timestep.
-        for (b, pixels) in samples.iter().enumerate() {
-            let plan = &mut state.plans[b];
-            self.config.encoder.plan(pixels, plan);
-            for (row, threshold) in plan.iter_mut() {
-                if !self.plane.row_live(*row as usize) {
-                    *threshold = 0;
+        // of on every timestep. Drawn trains hold dead rows too, and are
+        // filtered as they are read.
+        if let Spikes::Live { samples, .. } = &spikes {
+            for (b, pixels) in samples.iter().enumerate() {
+                let plan = &mut state.plans[b];
+                self.config.encoder.plan(pixels, plan);
+                for (row, threshold) in plan.iter_mut() {
+                    if !self.plane.row_live(*row as usize) {
+                        *threshold = 0;
+                    }
                 }
             }
         }
+        state.cursors.clear();
+        state.cursors.resize(b_count, 0);
         // Drive is only read inside its own tile, so each job sweeps
         // through a private `[tile]` block.
         state.drive.resize(jobs * tile, 0.0);
@@ -434,6 +462,7 @@ impl NetworkParams {
             drive,
             active,
             plans,
+            cursors,
             crossed,
             fired,
             job_any,
@@ -451,9 +480,22 @@ impl NetworkParams {
                 since: Instant::now(),
             });
         for _ in 0..self.config.timesteps {
-            self.config
-                .encoder
-                .encode_planned_chunk(kernel, &plans[..b_count], rngs, active);
+            match &mut spikes {
+                Spikes::Live { rngs, .. } => {
+                    self.config.encoder.encode_planned_chunk(
+                        kernel,
+                        &plans[..b_count],
+                        rngs,
+                        active,
+                    );
+                }
+                Spikes::Drawn(trains) => {
+                    for ((active, train), pos) in active.iter_mut().zip(*trains).zip(&mut *cursors)
+                    {
+                        crate::drawn::read_step(train, pos, active, |row| self.plane.row_live(row));
+                    }
+                }
+            }
             lap(&mut clock, |p| &mut p.encode);
             let slabs = SweepSlabs {
                 v: v.as_mut_ptr(),
@@ -512,8 +554,20 @@ impl NetworkParams {
         if clock.is_some() {
             phases.record();
         }
-        Ok(counts)
+        counts
     }
+}
+
+/// Where a presented chunk's spike trains come from.
+enum Spikes<'a> {
+    /// Drawn each timestep from the samples' pixels, one RNG stream per
+    /// sample.
+    Live {
+        samples: &'a [&'a [f32]],
+        rngs: &'a mut [StdRng],
+    },
+    /// Read from trains drawn beforehand, one gap-coded train per sample.
+    Drawn(&'a [&'a [u8]]),
 }
 
 /// Raw slab pointers of the tile sweep, `Copy` so every range-job
@@ -697,6 +751,9 @@ struct EpochStats {
     clean_samples: usize,
     /// Samples the trainer encoded itself.
     inline_encodes: usize,
+    /// Column sums normalisation computed (full passes count every
+    /// column, carried ones only the columns the sample wrote).
+    resummed_columns: usize,
     /// Per-phase wall time (spans mode only).
     phases: PhaseTimes,
 }
@@ -800,8 +857,9 @@ pub struct RunState {
     /// `[0, w_max]`), so the STDP passes run the clean kernels. Set by a
     /// scan when training starts, updated after each normalisation.
     clean: bool,
-    /// Training only: normalisation's per-column sums and scales.
-    norm: Vec<f32>,
+    /// Training only: normalisation's per-column sums and scales, the
+    /// sums carried from one sample to the next.
+    norm: ColumnNorm,
 }
 
 impl RunState {
@@ -916,6 +974,8 @@ pub struct BatchState {
     /// Per-sample precomputed spike plans (non-zero pixels + thresholds,
     /// zero for dead rows).
     plans: Vec<Vec<(u32, u32)>>,
+    /// Per-sample read positions in drawn spike trains.
+    cursors: Vec<usize>,
     /// Threshold-crossing masks, sample-major (`[b * n_neurons + j]`) —
     /// tiles integrate lane-by-lane, firing resolves per sample after the
     /// sweep.
@@ -1156,7 +1216,8 @@ impl DiehlCookNetwork {
     /// when given.
     ///
     /// The STDP passes run the clean kernels while `state.clean` holds,
-    /// and normalisation updates the flag. Mutates the stored weights
+    /// and normalisation updates the flag and carries the column sums in
+    /// `state.norm` to the next sample. Mutates the stored weights
     /// directly and leaves the effective plane stale — callers must
     /// finish with `params.rebuild_plane()` before the parameters are
     /// read again.
@@ -1175,11 +1236,8 @@ impl DiehlCookNetwork {
         for t in 0..config.timesteps {
             stdp.decay(config.dt_ms);
             lap(&mut clock, |p| &mut p.decay);
-            // Depression and the drive read are one fused row pass: each
-            // active row is rewritten into `[0, w_max]` and added into the
-            // drive while hot, exactly the sums `accumulate_drive` would
-            // produce from the rewritten rows under either read rule.
-            state.drive.fill(0.0);
+            // Depression writes the drive: the sums `accumulate_drive`
+            // would produce from the rewritten rows under either read rule.
             stdp.on_pre_spikes(
                 weights,
                 state.train.step(t),
@@ -1198,8 +1256,13 @@ impl DiehlCookNetwork {
                 lap(&mut clock, |p| &mut p.potentiate);
             }
         }
-        state.clean =
-            weights.normalize_columns_with(config.norm_target, kernel, clean, &mut state.norm);
+        state.clean = weights.normalize_columns_with(
+            config.norm_target,
+            kernel,
+            clean,
+            &mut state.norm,
+            stdp.live_post(),
+        );
         lap(&mut clock, |p| &mut p.normalise);
         stdp.reset();
         // Thresholds are learned state: persist them across samples.
@@ -1224,13 +1287,19 @@ impl DiehlCookNetwork {
     /// * While the stored weights are clean (every word in `[0, w_max]`,
     ///   checked by one scan here and tracked through each
     ///   normalisation), the STDP passes skip the synapse read rule,
-    ///   which is the identity on such a store.
+    ///   which is the identity on such a store, and do only the work that
+    ///   changes a bit: depression and trace decay touch only the live
+    ///   lanes ([`StdpState`]), the drive comes from [`Kernel::sum_rows`],
+    ///   and normalisation carries its column sums from one sample to the
+    ///   next, re-summing only the columns the sample wrote (in full at
+    ///   the start of the epoch and after a dirty or dead-column pass).
     ///
     /// The effective plane is re-derived once at the end of the epoch
     /// (training itself reads the store directly). Telemetry records one
     /// `snn.train_epoch` span and, once per epoch, adds the sample count
     /// to `snn.train_samples`, the clean-store samples to
-    /// `snn.train_clean_samples` and the samples the caller encoded
+    /// `snn.train_clean_samples`, the column sums normalisation computed
+    /// to `snn.train_resummed_columns` and the samples the caller encoded
     /// itself to `snn.train_inline_encodes`; in spans mode it also adds
     /// the per-phase wall time (`snn.train_phase_*_ns`).
     ///
@@ -1277,6 +1346,10 @@ impl DiehlCookNetwork {
                 sparkxd_telemetry::counter_add!("snn.train_samples", dataset.len());
                 sparkxd_telemetry::counter_add!("snn.train_clean_samples", stats.clean_samples);
                 sparkxd_telemetry::counter_add!("snn.train_inline_encodes", stats.inline_encodes);
+                sparkxd_telemetry::counter_add!(
+                    "snn.train_resummed_columns",
+                    stats.resummed_columns
+                );
                 if sparkxd_telemetry::mode() == sparkxd_telemetry::Mode::Spans {
                     stats.phases.record();
                 }
@@ -1315,6 +1388,7 @@ impl DiehlCookNetwork {
             let counts = self.train_sample(&mut state, timed.then_some(&mut stats.phases));
             stats.spikes += counts.iter().map(|&c| c as u64).sum::<u64>();
         }
+        stats.resummed_columns = state.norm.resummed;
         stats
     }
 

@@ -194,16 +194,23 @@ impl StoredWeights {
     /// column-major traversal but cache-friendly at N3600, and identical
     /// under every kernel.
     pub fn normalize_columns(&mut self, target_sum: f32, kernel: Kernel) {
-        self.normalize_columns_with(target_sum, kernel, false, &mut Vec::new());
+        self.normalize_columns_with(target_sum, kernel, false, &mut ColumnNorm::default(), &[]);
     }
 
-    /// [`normalize_columns`](Self::normalize_columns) with a reusable
-    /// per-column scratch buffer and the store's known cleanliness.
+    /// [`normalize_columns`](Self::normalize_columns) with reusable
+    /// scratch, the store's known cleanliness and the column sums carried
+    /// from the previous call.
     ///
     /// With `clean` set the caller guarantees [`is_clean`](Self::is_clean),
-    /// and the sum pass runs [`Kernel::accumulate_clean`]; the scale pass
-    /// runs [`Kernel::rescale_clean`] too unless some column is dead. Both
-    /// are bit-identical to the generic passes on a clean store.
+    /// and the sum pass runs [`Kernel::accumulate_clean`]. When no column
+    /// is dead the scale pass then runs [`Kernel::rescale_sum_clean`],
+    /// which also leaves in `norm` the column sums of the rescaled store.
+    /// The next clean call reuses them and re-sums only the columns in
+    /// `written` (each once; the caller guarantees that no other column
+    /// was written in between), each in ascending row order onto `+0.0`,
+    /// the same sums a full pass would give. A dirty or dead-column pass drops the carried
+    /// sums, so the next call takes them in full. Every path is
+    /// bit-identical to the generic passes.
     ///
     /// Returns whether the store is known clean afterwards: a clean store
     /// stays clean (rescaling clamps into `[0, w_max]` and a dead column
@@ -216,34 +223,60 @@ impl StoredWeights {
         target_sum: f32,
         kernel: Kernel,
         clean: bool,
-        scratch: &mut Vec<f32>,
+        norm: &mut ColumnNorm,
+        written: &[usize],
     ) -> bool {
-        let w_max = self.w_max;
-        scratch.clear();
-        scratch.resize(self.neurons, 0.0);
-        for row in self.w.chunks_exact(self.neurons) {
-            if clean {
-                kernel.accumulate_clean(scratch, row);
-            } else {
-                kernel.accumulate_effective(scratch, row, w_max);
+        let (w_max, n) = (self.w_max, self.neurons);
+        let ColumnNorm {
+            sums,
+            scales,
+            carried,
+            resummed,
+        } = norm;
+        if clean && *carried && sums.len() == n {
+            // One pass down the rows for all written columns at once, so
+            // their add chains overlap; each still sums in ascending row
+            // order onto `+0.0`, lane `j` of `accumulate_clean`.
+            for &j in written {
+                sums[j] = 0.0;
             }
+            for row in self.w.chunks_exact(n) {
+                for &j in written {
+                    sums[j] += row[j];
+                }
+            }
+            *resummed += written.len();
+        } else {
+            sums.clear();
+            sums.resize(n, 0.0);
+            for row in self.w.chunks_exact(n) {
+                if clean {
+                    kernel.accumulate_clean(sums, row);
+                } else {
+                    kernel.accumulate_effective(sums, row, w_max);
+                }
+            }
+            *resummed += n;
         }
-        // The sums become the scales in place; NaN marks a dead column,
-        // whose words the scale pass keeps.
+        // NaN marks a dead column, whose words the scale pass keeps.
         let mut dead = false;
-        for sum in scratch.iter_mut() {
-            *sum = if *sum <= f32::EPSILON {
+        scales.clear();
+        scales.extend(sums.iter().map(|&sum| {
+            if sum <= f32::EPSILON {
                 dead = true;
                 f32::NAN
             } else {
-                target_sum / *sum
-            };
-        }
-        let scales: &[f32] = scratch;
-        for row in self.w.chunks_exact_mut(self.neurons) {
-            if clean && !dead {
-                kernel.rescale_clean(row, scales, w_max);
-            } else {
+                target_sum / sum
+            }
+        }));
+        *carried = clean && !dead;
+        if *carried {
+            sums.fill(0.0);
+            for row in self.w.chunks_exact_mut(n) {
+                kernel.rescale_sum_clean(row, scales, w_max, sums);
+            }
+        } else {
+            for row in self.w.chunks_exact_mut(n) {
                 kernel.rescale_effective(row, scales, w_max);
             }
         }
@@ -265,6 +298,20 @@ impl StoredWeights {
             .count();
         nz as f64 / self.w.len() as f64
     }
+}
+
+/// Training's column-normalisation scratch (see
+/// [`StoredWeights::normalize_columns_with`]): the per-column sums and
+/// scales, whether the sums are carried over from the last pass, and how
+/// many column sums were computed so far.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ColumnNorm {
+    sums: Vec<f32>,
+    scales: Vec<f32>,
+    /// `sums` hold the column sums of the store as the last pass left it.
+    carried: bool,
+    /// Column sums computed, full passes counting every column.
+    pub(crate) resummed: usize,
 }
 
 /// The read-side view of a [`StoredWeights`]: every value passed through
@@ -549,8 +596,8 @@ mod tests {
                 let mut generic = base.clone();
                 generic.normalize_columns(10.0, kernel);
                 let mut fast = base.clone();
-                let mut scratch = vec![7.0; 3];
-                assert!(fast.normalize_columns_with(10.0, kernel, true, &mut scratch));
+                let mut norm = ColumnNorm::default();
+                assert!(fast.normalize_columns_with(10.0, kernel, true, &mut norm, &[]));
                 assert_eq!(bits(&fast), bits(&generic), "{kernel:?}");
                 assert!(fast.is_clean());
             }
@@ -559,15 +606,52 @@ mod tests {
 
     #[test]
     fn dirty_normalisation_reports_cleanliness_after() {
-        let mut scratch = Vec::new();
+        let mut norm = ColumnNorm::default();
         // Live columns only: every word is rewritten into range.
         let mut m = StoredWeights::from_weights(2, 2, 1.0, vec![f32::NAN, 0.5, 0.25, 9.0]);
-        assert!(m.normalize_columns_with(1.0, Kernel::Scalar, false, &mut scratch));
+        assert!(m.normalize_columns_with(1.0, Kernel::Scalar, false, &mut norm, &[]));
         assert!(m.is_clean());
         // A dead column keeps its NaN: still dirty.
         let mut m = StoredWeights::from_weights(2, 2, 1.0, vec![f32::NAN, 0.5, -1.0, 0.25]);
-        assert!(!m.normalize_columns_with(1.0, Kernel::Scalar, false, &mut scratch));
+        assert!(!m.normalize_columns_with(1.0, Kernel::Scalar, false, &mut norm, &[]));
         assert!(m.raw(0, 0).is_nan());
+    }
+
+    #[test]
+    fn carried_column_sums_match_a_fresh_normalisation() {
+        // Between passes only the `written` columns change, as in
+        // training; the carried pass must rewrite the store exactly as a
+        // generic pass over it does, and count one sum per written column.
+        let bits =
+            |m: &StoredWeights| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for &kernel in Kernel::available() {
+            let mut carried = StoredWeights::random(41, 13, 1.0, 9);
+            let mut norm = ColumnNorm::default();
+            assert!(carried.normalize_columns_with(7.0, kernel, true, &mut norm, &[]));
+            assert_eq!(norm.resummed, 13, "the first pass sums every column");
+            let mut generic = carried.clone();
+            for (pass, written) in [vec![3], vec![0, 12, 5], vec![], vec![7, 8]]
+                .into_iter()
+                .enumerate()
+            {
+                for (k, &j) in written.iter().enumerate() {
+                    for i in (pass + k..41).step_by(3) {
+                        let w = (carried.raw(i, j) * 0.7 + 0.01 * k as f32).min(1.0);
+                        carried.set(i, j, w);
+                        generic.set(i, j, w);
+                    }
+                }
+                let before = norm.resummed;
+                assert!(carried.normalize_columns_with(7.0, kernel, true, &mut norm, &written));
+                assert_eq!(
+                    norm.resummed - before,
+                    written.len(),
+                    "{kernel:?} pass {pass}"
+                );
+                generic.normalize_columns(7.0, kernel);
+                assert_eq!(bits(&carried), bits(&generic), "{kernel:?} pass {pass}");
+            }
+        }
     }
 
     #[test]

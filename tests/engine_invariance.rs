@@ -1,7 +1,9 @@
-//! Storage axis of the engine invariance proof: every packed precision
-//! and every `clamp_reads` × `hard_wta` read rule reproduces the
-//! reference `NetworkParams::run_sample` bit for bit through
-//! `BatchEvaluator` (spike counts, labels and accuracy bits). The batch,
+//! Storage and spike-source axes of the engine invariance proof: every
+//! packed precision and every `clamp_reads` × `hard_wta` read rule
+//! reproduces the reference `NetworkParams::run_sample` bit for bit
+//! through `BatchEvaluator` (spike counts, labels and accuracy bits), and
+//! so do labels and accuracy read from spike trains drawn beforehand
+//! (`DrawnSpikes`) instead of drawn live. The batch,
 //! tile, intra-split and kernel axes have a suite each (`batch_`,
 //! `tile_`, `intra_` and `kernel_invariance.rs`); all five run on the
 //! fixture, reference and checker in `invariance/mod.rs`.
@@ -55,5 +57,32 @@ fn the_fixture_exercises_hard_wta_and_firing() {
             // At most one winner per timestep.
             assert!(want.counts.iter().all(|c| c.iter().sum::<u32>() <= 30));
         }
+    }
+}
+
+/// Labelling and scoring from a set drawn beforehand, on the planted
+/// fixture (dead rows, NaN/Inf words): B ∈ {1, 3, 4} × threads {1, 2},
+/// across storages, kernels, tiles and intra splits.
+const DRAWN_ROWS: [Point; 12] = [
+    row(FP32, 1, 1, MAX, Scalar, Off),
+    row(FP32, 3, 2, 7, Avx2, Workers(3)),
+    row(FP32, 4, 1, 1, K_AUTO, I_AUTO),
+    row(INT8, 1, 2, 23, K_AUTO, Workers(2)),
+    row(INT16, 3, 1, 5, Scalar, I_AUTO),
+    row(INT8, 4, 2, MAX, Avx2, Off),
+    row(UNCLAMPED, 1, 2, 7, K_AUTO, I_AUTO),
+    row(UNCLAMPED, 4, 1, 24, Scalar, Workers(6)),
+    row(HARD_WTA, 3, 2, 1, Avx2, Workers(17)),
+    row(HARD_WTA, 4, 1, 9, K_AUTO, Off),
+    row(UNCLAMPED_HARD_WTA, 1, 1, 4, Avx2, Workers(2)),
+    row(UNCLAMPED_HARD_WTA, 3, 2, MAX, Scalar, I_AUTO),
+];
+
+#[test]
+fn every_drawn_spike_row_matches_the_reference() {
+    for point in DRAWN_ROWS {
+        let (want, labeler) = reference(point.storage, SEED);
+        let got = engine_drawn(point, SEED, &labeler);
+        assert_eq!(got, (want.labels, want.accuracy_bits), "{point:?}");
     }
 }

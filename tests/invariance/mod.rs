@@ -21,8 +21,8 @@ use rand::rngs::StdRng;
 use sparkxd::data::{Dataset, SynthDigits, SyntheticSource};
 use sparkxd::snn::engine::{sample_rng, BatchEvaluator};
 use sparkxd::snn::{
-    BatchState, DiehlCookNetwork, IntraChoice, KernelChoice, NetworkParams, NeuronLabeler,
-    QuantizedImage, RunState, SnnConfig, WeightPrecision,
+    BatchState, DiehlCookNetwork, DrawnSpikes, IntraChoice, KernelChoice, NetworkParams,
+    NeuronLabeler, QuantizedImage, RunState, SnnConfig, WeightPrecision,
 };
 use std::sync::OnceLock;
 use IntraChoice::{Off, Workers};
@@ -237,6 +237,21 @@ pub fn engine(point: Point, seed: u64, labeler: &NeuronLabeler) -> Outcome {
             .to_vec(),
         accuracy_bits: eval.evaluate(params, data, labeler, seed).to_bits(),
     }
+}
+
+/// The labels and accuracy bits of `engine` at `point`, labelled and
+/// scored from one set of spike trains drawn beforehand at `seed`.
+pub fn engine_drawn(point: Point, seed: u64, labeler: &NeuronLabeler) -> (Vec<Option<u8>>, u64) {
+    let (params, data) = fixture(point.storage);
+    let spikes = DrawnSpikes::draw(params.config(), data, seed);
+    let eval = BatchEvaluator::with_threads(point.threads)
+        .with_batch(point.batch)
+        .with_tile(point.tile)
+        .with_kernel(point.kernel)
+        .with_intra(point.intra);
+    let labels = eval.label_neurons_drawn(params, data, &spikes);
+    let accuracy = eval.evaluate_drawn(params, data, labeler, &spikes);
+    (labels.assignments().to_vec(), accuracy.to_bits())
 }
 
 pub const MAX: usize = usize::MAX;

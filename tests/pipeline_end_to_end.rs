@@ -112,8 +112,14 @@ fn requested_voltage_is_respected_when_tolerable() {
 fn out_of_range_scheduled_ber_is_an_error_not_a_panic() {
     use sparkxd::core::CoreError;
     use sparkxd::error::InjectError;
-    for bad in [2.0, -1e-3, f64::NAN] {
-        let mut config = PipelineConfig::small_demo(3);
+    // The paper-size row is rejected before its baseline trains: at N400
+    // that training alone would take minutes in a debug build.
+    let paper = PipelineConfig::paper_network(400, DatasetKind::Digits, 3);
+    let rows = [2.0, -1e-3, f64::NAN]
+        .map(|bad| (PipelineConfig::small_demo(3), bad))
+        .into_iter()
+        .chain([(paper, f64::NAN)]);
+    for (mut config, bad) in rows {
         // After a valid step: the check must come before that step trains.
         config.training.ber_schedule = vec![1e-5, bad];
         let result = std::panic::catch_unwind(|| SparkXdPipeline::new(config).run());

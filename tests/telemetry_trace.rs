@@ -4,9 +4,10 @@
 //! fault-aware-training step evaluation (`fat.step_eval`, the evaluation
 //! that overlaps the next step's training), one `WorkerPool` dispatch span
 //! and one DRAM replay span beneath them — and a snapshot holding
-//! training's per-epoch counters (clean-store samples, inline encodes and
-//! the spans-only per-phase wall times) and the inference engine's
-//! spans-only per-phase wall times.
+//! training's per-epoch counters (clean-store samples, inline encodes,
+//! re-summed columns and the spans-only per-phase wall times), the
+//! inference engine's spans-only per-phase wall times, and the samples
+//! fault-aware training presented from spike trains drawn beforehand.
 //!
 //! Single `#[test]` on purpose: the telemetry mode is process-global,
 //! like the engine knobs the sibling invariance suites pin.
@@ -102,6 +103,14 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
     assert!(samples > 0);
     let clean = counter("snn.train_clean_samples");
     assert!(clean > 0 && clean <= samples, "{clean} of {samples}");
+    // Each clean sample after the first of its epoch re-sums only the
+    // columns it wrote, so far fewer than one full pass per sample.
+    let resummed = counter("snn.train_resummed_columns");
+    let neurons = tiny_config(42).neurons as u64;
+    assert!(
+        resummed > 0 && resummed < samples * neurons,
+        "{resummed} column sums over {samples} samples"
+    );
     assert!(counter("snn.train_phase_depress_ns") > 0);
 
     // The engine's per-call phase split of `run_batch` (labelling and
@@ -115,4 +124,13 @@ fn spans_mode_pipeline_run_yields_a_loadable_chrome_trace() {
     }
     assert!(counter("engine.phase_encode_ns") > 0);
     assert!(counter("engine.phase_sweep_ns") > 0);
+
+    // Algorithm 1 labels every checkpoint and scores every step from the
+    // sets it drew once: 1 + 2 labellings of the 40 training samples
+    // (one more without a tolerated rate) and 2 steps × 20 test samples.
+    let drawn = counter("engine.drawn_samples");
+    assert!(
+        [3 * 40 + 2 * 20, 4 * 40 + 2 * 20].contains(&drawn),
+        "{drawn}"
+    );
 }
